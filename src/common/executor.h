@@ -1,8 +1,8 @@
 // Shared work scheduler: a process-wide, lazily started thread pool.
 //
 // Every parallel call site in the library — batch snapshot queries,
-// FlowMatrix materialization, and the intra-query object fan-out in
-// snapshot_query.cc / interval_query.cc — schedules onto one shared pool
+// FlowMatrix materialization, and the intra-query object fan-out of the
+// per-object kernel in query_pipeline.cc — schedules onto one shared pool
 // instead of spawning per-call std::threads. That bounds process-wide
 // concurrency under multi-tenant load (one pool-size cap instead of one
 // thread herd per call) and amortizes thread creation across queries.

@@ -1,6 +1,7 @@
 #include "src/core/engine.h"
 
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/executor.h"
@@ -178,16 +179,15 @@ class QueryMetricsScope {
 
 // The engine-side profile header: query identity, parameters, and the POI
 // subset registration that anchors the verdict invariant.
-void BeginProfile(QueryProfile* profile, Algorithm algorithm, double ts,
-                  double te, int k, double tau,
+void BeginProfile(QueryProfile* profile, const QueryShape& shape,
                   const std::vector<PoiId>& ids) {
   if (profile == nullptr) return;
   profile->algorithm =
-      algorithm == Algorithm::kJoin ? "join" : "iterative";
-  profile->ts = ts;
-  profile->te = te;
-  profile->k = k;
-  profile->tau = tau;
+      shape.algorithm == Algorithm::kJoin ? "join" : "iterative";
+  profile->ts = shape.ts;
+  profile->te = shape.te;
+  profile->k = shape.k;
+  profile->tau = shape.tau;
   profile->BeginPois(ids);
 }
 
@@ -300,6 +300,35 @@ QueryEngine::PoiSelection QueryEngine::SelectPois(
   return selection;
 }
 
+template <typename Result>
+std::vector<Result> QueryEngine::Dispatch(const char* name,
+                                          const QueryShape& shape,
+                                          const std::vector<PoiId>* subset,
+                                          QueryStats* stats,
+                                          QueryProfile* profile,
+                                          const QueryControl* control,
+                                          const ApproxConfig* approx) const {
+  if (shape.objective == Objective::kThreshold) {
+    INDOORFLOW_CHECK(shape.tau > 0.0);
+  }
+  QueryMetricsScope scope(shape.interval ? IntervalMetrics()
+                                         : SnapshotMetrics(),
+                          name, stats, profile, recorder_, control);
+  const PoiSelection selection = SelectPois(subset);
+  BeginProfile(profile, shape, selection.ids);
+  QueryContext ctx = MakeContext();
+  ctx.stats = stats;
+  ctx.profile = profile;
+  ctx.control = control;
+  ctx.span = scope.span();
+  if constexpr (std::is_same_v<Result, FlowEstimate>) {
+    return EstimateQuery(ctx, selection.tree(), selection.ids, shape,
+                         *approx);
+  } else {
+    return EvaluateQuery(ctx, selection.tree(), selection.ids, shape);
+  }
+}
+
 std::vector<PoiFlow> QueryEngine::SnapshotTopK(
     Timestamp t, int k, Algorithm algorithm,
     const std::vector<PoiId>* subset, QueryStats* stats,
@@ -323,24 +352,9 @@ std::vector<PoiFlow> QueryEngine::SnapshotTopKExact(
   // The metrics scope keeps the routed name: this is SnapshotTopK's exact
   // body, reachable directly so a per-request approx=exact pin cannot be
   // re-routed by a sampled engine config.
-  QueryMetricsScope scope(SnapshotMetrics(), "SnapshotTopK", stats, profile,
-                          recorder_, control);
-  const PoiSelection selection = SelectPois(subset);
-  const RTree& poi_tree = selection.tree();
-  const std::vector<PoiId>& ids = selection.ids;
-  BeginProfile(profile, algorithm, t, t, k, 0.0, ids);
-  QueryContext ctx = MakeContext();
-  ctx.stats = stats;
-  ctx.profile = profile;
-  ctx.control = control;
-  ctx.span = scope.span();
-  switch (algorithm) {
-    case Algorithm::kIterative:
-      return IterativeSnapshot(ctx, poi_tree, ids, t, k);
-    case Algorithm::kJoin:
-      return JoinSnapshot(ctx, poi_tree, ids, t, k);
-  }
-  return {};
+  return Dispatch<PoiFlow>(
+      "SnapshotTopK", {.ts = t, .te = t, .algorithm = algorithm, .k = k},
+      subset, stats, profile, control);
 }
 
 std::vector<std::vector<PoiFlow>> QueryEngine::SnapshotTopKBatch(
@@ -362,48 +376,27 @@ std::vector<PoiFlow> QueryEngine::SnapshotDensityTopK(
     Timestamp t, int k, Algorithm algorithm,
     const std::vector<PoiId>* subset, QueryStats* stats,
     QueryProfile* profile, const QueryControl* control) const {
-  QueryMetricsScope scope(SnapshotMetrics(), "SnapshotDensityTopK", stats,
-                          profile, recorder_, control);
-  const PoiSelection selection = SelectPois(subset);
-  const RTree& poi_tree = selection.tree();
-  const std::vector<PoiId>& ids = selection.ids;
-  BeginProfile(profile, algorithm, t, t, k, 0.0, ids);
-  QueryContext ctx = MakeContext();
-  ctx.stats = stats;
-  ctx.profile = profile;
-  ctx.control = control;
-  ctx.span = scope.span();
-  switch (algorithm) {
-    case Algorithm::kIterative:
-      return IterativeSnapshotDensity(ctx, poi_tree, ids, t, k);
-    case Algorithm::kJoin:
-      return JoinSnapshotDensity(ctx, poi_tree, ids, t, k);
-  }
-  return {};
+  return Dispatch<PoiFlow>("SnapshotDensityTopK",
+                           {.ts = t,
+                            .te = t,
+                            .objective = Objective::kDensity,
+                            .algorithm = algorithm,
+                            .k = k},
+                           subset, stats, profile, control);
 }
 
 std::vector<PoiFlow> QueryEngine::IntervalDensityTopK(
     Timestamp ts, Timestamp te, int k, Algorithm algorithm,
     const std::vector<PoiId>* subset, QueryStats* stats,
     QueryProfile* profile, const QueryControl* control) const {
-  QueryMetricsScope scope(IntervalMetrics(), "IntervalDensityTopK", stats,
-                          profile, recorder_, control);
-  const PoiSelection selection = SelectPois(subset);
-  const RTree& poi_tree = selection.tree();
-  const std::vector<PoiId>& ids = selection.ids;
-  BeginProfile(profile, algorithm, ts, te, k, 0.0, ids);
-  QueryContext ctx = MakeContext();
-  ctx.stats = stats;
-  ctx.profile = profile;
-  ctx.control = control;
-  ctx.span = scope.span();
-  switch (algorithm) {
-    case Algorithm::kIterative:
-      return IterativeIntervalDensity(ctx, poi_tree, ids, ts, te, k);
-    case Algorithm::kJoin:
-      return JoinIntervalDensity(ctx, poi_tree, ids, ts, te, k);
-  }
-  return {};
+  return Dispatch<PoiFlow>("IntervalDensityTopK",
+                           {.interval = true,
+                            .ts = ts,
+                            .te = te,
+                            .objective = Objective::kDensity,
+                            .algorithm = algorithm,
+                            .k = k},
+                           subset, stats, profile, control);
 }
 
 Region QueryEngine::ObjectRegionAt(ObjectId object, Timestamp t) const {
@@ -432,48 +425,27 @@ std::vector<PoiFlow> QueryEngine::SnapshotThreshold(
     Timestamp t, double tau, Algorithm algorithm,
     const std::vector<PoiId>* subset, QueryStats* stats,
     QueryProfile* profile, const QueryControl* control) const {
-  QueryMetricsScope scope(SnapshotMetrics(), "SnapshotThreshold", stats,
-                          profile, recorder_, control);
-  const PoiSelection selection = SelectPois(subset);
-  const RTree& poi_tree = selection.tree();
-  const std::vector<PoiId>& ids = selection.ids;
-  BeginProfile(profile, algorithm, t, t, 0, tau, ids);
-  QueryContext ctx = MakeContext();
-  ctx.stats = stats;
-  ctx.profile = profile;
-  ctx.control = control;
-  ctx.span = scope.span();
-  switch (algorithm) {
-    case Algorithm::kIterative:
-      return IterativeSnapshotThreshold(ctx, poi_tree, ids, t, tau);
-    case Algorithm::kJoin:
-      return JoinSnapshotThreshold(ctx, poi_tree, t, tau);
-  }
-  return {};
+  return Dispatch<PoiFlow>("SnapshotThreshold",
+                           {.ts = t,
+                            .te = t,
+                            .objective = Objective::kThreshold,
+                            .algorithm = algorithm,
+                            .tau = tau},
+                           subset, stats, profile, control);
 }
 
 std::vector<PoiFlow> QueryEngine::IntervalThreshold(
     Timestamp ts, Timestamp te, double tau, Algorithm algorithm,
     const std::vector<PoiId>* subset, QueryStats* stats,
     QueryProfile* profile, const QueryControl* control) const {
-  QueryMetricsScope scope(IntervalMetrics(), "IntervalThreshold", stats,
-                          profile, recorder_, control);
-  const PoiSelection selection = SelectPois(subset);
-  const RTree& poi_tree = selection.tree();
-  const std::vector<PoiId>& ids = selection.ids;
-  BeginProfile(profile, algorithm, ts, te, 0, tau, ids);
-  QueryContext ctx = MakeContext();
-  ctx.stats = stats;
-  ctx.profile = profile;
-  ctx.control = control;
-  ctx.span = scope.span();
-  switch (algorithm) {
-    case Algorithm::kIterative:
-      return IterativeIntervalThreshold(ctx, poi_tree, ids, ts, te, tau);
-    case Algorithm::kJoin:
-      return JoinIntervalThreshold(ctx, poi_tree, ts, te, tau);
-  }
-  return {};
+  return Dispatch<PoiFlow>("IntervalThreshold",
+                           {.interval = true,
+                            .ts = ts,
+                            .te = te,
+                            .objective = Objective::kThreshold,
+                            .algorithm = algorithm,
+                            .tau = tau},
+                           subset, stats, profile, control);
 }
 
 std::vector<PoiFlow> QueryEngine::IntervalTopK(
@@ -497,60 +469,29 @@ std::vector<PoiFlow> QueryEngine::IntervalTopKExact(
     QueryProfile* profile, const QueryControl* control) const {
   // IntervalTopK's exact body under its routed metrics name, as in
   // SnapshotTopKExact.
-  QueryMetricsScope scope(IntervalMetrics(), "IntervalTopK", stats, profile,
-                          recorder_, control);
-  const PoiSelection selection = SelectPois(subset);
-  const RTree& poi_tree = selection.tree();
-  const std::vector<PoiId>& ids = selection.ids;
-  BeginProfile(profile, algorithm, ts, te, k, 0.0, ids);
-  QueryContext ctx = MakeContext();
-  ctx.stats = stats;
-  ctx.profile = profile;
-  ctx.control = control;
-  ctx.span = scope.span();
-  switch (algorithm) {
-    case Algorithm::kIterative:
-      return IterativeInterval(ctx, poi_tree, ids, ts, te, k);
-    case Algorithm::kJoin:
-      return JoinInterval(ctx, poi_tree, ids, ts, te, k);
-  }
-  return {};
+  return Dispatch<PoiFlow>(
+      "IntervalTopK",
+      {.interval = true, .ts = ts, .te = te, .algorithm = algorithm, .k = k},
+      subset, stats, profile, control);
 }
 
 std::vector<FlowEstimate> QueryEngine::SnapshotTopKEstimate(
     Timestamp t, int k, const ApproxConfig& approx,
     const std::vector<PoiId>* subset, QueryStats* stats,
     QueryProfile* profile, const QueryControl* control) const {
-  QueryMetricsScope scope(SnapshotMetrics(), "SnapshotTopKEstimate", stats,
-                          profile, recorder_, control);
-  const PoiSelection selection = SelectPois(subset);
-  const RTree& poi_tree = selection.tree();
-  const std::vector<PoiId>& ids = selection.ids;
-  BeginProfile(profile, Algorithm::kIterative, t, t, k, 0.0, ids);
-  QueryContext ctx = MakeContext();
-  ctx.stats = stats;
-  ctx.profile = profile;
-  ctx.control = control;
-  ctx.span = scope.span();
-  return IterativeSnapshotEstimate(ctx, poi_tree, ids, t, k, approx);
+  return Dispatch<FlowEstimate>("SnapshotTopKEstimate",
+                                {.ts = t, .te = t, .k = k}, subset, stats,
+                                profile, control, &approx);
 }
 
 std::vector<FlowEstimate> QueryEngine::IntervalTopKEstimate(
     Timestamp ts, Timestamp te, int k, const ApproxConfig& approx,
     const std::vector<PoiId>* subset, QueryStats* stats,
     QueryProfile* profile, const QueryControl* control) const {
-  QueryMetricsScope scope(IntervalMetrics(), "IntervalTopKEstimate", stats,
-                          profile, recorder_, control);
-  const PoiSelection selection = SelectPois(subset);
-  const RTree& poi_tree = selection.tree();
-  const std::vector<PoiId>& ids = selection.ids;
-  BeginProfile(profile, Algorithm::kIterative, ts, te, k, 0.0, ids);
-  QueryContext ctx = MakeContext();
-  ctx.stats = stats;
-  ctx.profile = profile;
-  ctx.control = control;
-  ctx.span = scope.span();
-  return IterativeIntervalEstimate(ctx, poi_tree, ids, ts, te, k, approx);
+  return Dispatch<FlowEstimate>(
+      "IntervalTopKEstimate",
+      {.interval = true, .ts = ts, .te = te, .k = k}, subset, stats,
+      profile, control, &approx);
 }
 
 }  // namespace indoorflow

@@ -26,8 +26,7 @@
 
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
-#include "src/core/interval_query.h"
-#include "src/core/snapshot_query.h"
+#include "src/core/query_pipeline.h"
 #include "src/core/topology_check.h"
 #include "src/core/uncertainty.h"
 #include "src/core/ur_cache.h"
@@ -37,11 +36,6 @@ namespace indoorflow {
 
 struct QueryProfile;
 class ProfileRecorder;
-
-enum class Algorithm {
-  kIterative,  // Algorithms 1 / 4
-  kJoin,       // Algorithms 2 / 5
-};
 
 struct EngineConfig {
   double vmax = 1.1;
@@ -183,10 +177,13 @@ class QueryEngine {
       const QueryControl* control = nullptr) const;
 
   /// Threshold variants (an indoorflow extension over the paper's top-k):
-  /// every query POI whose flow is at least `tau` (> 0), ordered by flow
+  /// every query POI whose flow is at least `tau`, ordered by flow
   /// descending. With Algorithm::kJoin the best-first traversal stops as
   /// soon as its flow upper bound drops below tau, so selective thresholds
   /// cost a fraction of a full scan; both algorithms return the same set.
+  /// Precondition, for both algorithms: tau > 0 (a NaN fails it too); a
+  /// violation aborts on INDOORFLOW_CHECK. Callers taking tau from users
+  /// validate it first (the CLI's --tau, for one).
   /// Same thread-safety and determinism contract as SnapshotTopK.
   std::vector<PoiFlow> SnapshotThreshold(
       Timestamp t, double tau, Algorithm algorithm,
@@ -276,6 +273,17 @@ class QueryEngine {
     }
   };
 
+  /// The body every query method shares: metrics scope (named `name`,
+  /// in the snapshot or interval family), POI selection, EXPLAIN header
+  /// and query context, then the pipeline for `shape` — EstimateQuery
+  /// under `*approx` when Result is FlowEstimate, EvaluateQuery otherwise.
+  /// Checks a threshold query's tau > 0 here, once for both algorithms.
+  template <typename Result>
+  std::vector<Result> Dispatch(const char* name, const QueryShape& shape,
+                               const std::vector<PoiId>* subset,
+                               QueryStats* stats, QueryProfile* profile,
+                               const QueryControl* control,
+                               const ApproxConfig* approx = nullptr) const;
   QueryContext MakeContext() const;
   PoiSelection SelectPois(const std::vector<PoiId>* subset) const;
   RTree BuildPoiTree(const std::vector<PoiId>& subset) const;

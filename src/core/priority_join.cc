@@ -6,8 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/common/metrics.h"
-#include "src/common/status.h"
 #include "src/core/query_profile.h"
 
 namespace indoorflow {
@@ -202,9 +200,9 @@ void RunBestFirstJoin(const PriorityJoinSpec& spec, double min_priority,
     }
   }
 
-  // Scratch for the presence_batch hook, reused across leaf evaluations.
-  std::vector<int32_t> batch_slots;
-  std::vector<double> batch_presences;
+  // Scratch for the leaf hook, reused across leaf evaluations.
+  std::vector<int32_t> leaf_slots;
+  std::vector<double> leaf_presences;
 
   // Phase 3 (lines 19-48): best-first processing.
   while (!queue.empty()) {
@@ -244,52 +242,16 @@ void RunBestFirstJoin(const PriorityJoinSpec& spec, double min_priority,
     if (p_is_leaf) {
       const PoiId poi_id = poi_tree.EntryItem(entry.p_node, entry.p_slot);
       if (list_is_leaf(entry.list)) {
-        // Compute the exact flow from the objects in the join list.
+        // Compute the exact flow from the objects in the join list,
+        // summed in list order.
         if (spec.stats != nullptr) ++spec.stats->pois_evaluated;
+        leaf_slots.clear();
+        for (const RIRef& ref : entry.list) {
+          leaf_slots.push_back(obj_tree.EntryItem(ref.node, ref.slot));
+        }
+        spec.leaf_presences(leaf_slots, poi_id, &leaf_presences);
         double flow = 0.0;
-        const double poi_area =
-            (*spec.poi_areas)[static_cast<size_t>(poi_id)];
-        const Region& poi_region =
-            (*spec.poi_regions)[static_cast<size_t>(poi_id)];
-        // Timed per leaf, not per object: two clock reads per Presence
-        // call cost ~5% of a join query. ur_of books its own derive_ns on
-        // cache misses, so subtract that delta from the loop span.
-        const int64_t loop_start =
-            spec.stats != nullptr ? MonotonicNowNs() : 0;
-        const int64_t derive_before =
-            spec.stats != nullptr ? spec.stats->derive_ns : 0;
-        if (spec.presence_batch) {
-          // Batch hook: hand the whole list over at once (the engine fans
-          // it across the executor), then sum in list order — the same
-          // accumulation sequence as the per-slot loop below, so the flow
-          // double is bit-identical. The hook owns eval/derive accounting.
-          batch_slots.clear();
-          batch_slots.reserve(entry.list.size());
-          for (const RIRef& ref : entry.list) {
-            batch_slots.push_back(obj_tree.EntryItem(ref.node, ref.slot));
-          }
-          spec.presence_batch(batch_slots, poi_id, &batch_presences);
-          for (const double presence : batch_presences) flow += presence;
-        } else {
-          for (const RIRef& ref : entry.list) {
-            const int32_t slot = obj_tree.EntryItem(ref.node, ref.slot);
-            if (spec.presence_of) {
-              flow += spec.presence_of(slot, poi_id);
-            } else {
-              const Region& ur = spec.ur_of(slot);
-              flow += Presence(ur, poi_area, poi_region, *spec.flow);
-            }
-          }
-        }
-        if (spec.stats != nullptr) {
-          const int64_t span = MonotonicNowNs() - loop_start;
-          const int64_t derived = spec.stats->derive_ns - derive_before;
-          spec.stats->presence_ns += span > derived ? span - derived : 0;
-          if (!spec.presence_of && !spec.presence_batch) {
-            spec.stats->presence_evaluations +=
-                static_cast<int64_t>(entry.list.size());
-          }
-        }
+        for (const double presence : leaf_presences) flow += presence;
         if (profile != nullptr) {
           // Raw flow, before the density divide: comparable across modes.
           profile->MarkEvaluated(poi_id, flow,
@@ -300,6 +262,8 @@ void RunBestFirstJoin(const PriorityJoinSpec& spec, double min_priority,
         // joins the zero-flow padding in POI-id order exactly like the
         // iterative path ranks it, instead of going through densify's
         // bound-side fallback.
+        const double poi_area =
+            (*spec.poi_areas)[static_cast<size_t>(poi_id)];
         const double ranked =
             spec.density ? (poi_area > 0.0 ? flow / poi_area : 0.0) : flow;
         if (ranked > 0.0) {
@@ -406,7 +370,6 @@ std::vector<PoiFlow> PriorityJoinTopK(const PriorityJoinSpec& spec, int k,
 
 std::vector<PoiFlow> PriorityJoinThreshold(const PriorityJoinSpec& spec,
                                            double tau) {
-  INDOORFLOW_CHECK(tau > 0.0);
   std::vector<PoiFlow> result;
   RunBestFirstJoin(spec, tau, [&](const PoiFlow& flow) {
     result.push_back(flow);

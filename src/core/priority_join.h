@@ -8,10 +8,13 @@
 // for POIs that survive to the front of the queue — the algorithms' source
 // of speedup over the iterative baselines.
 //
-// The uncertainty-region derivation differs between snapshot and interval
-// queries, so it is injected as a callback; join-list admission against leaf
-// object entries goes through AggregateRTree::Admits, which implements the
-// interval sub-MBR improvement transparently.
+// The join never derives a region or integrates a presence itself: when a
+// leaf POI meets a leaf-level join list it asks one hook for the listed
+// objects' presences, which the engine serves with the per-object
+// evaluation kernel shared by every query path (src/core/query_pipeline.cc)
+// — snapshot or interval, on one lane or many. Join-list admission against
+// leaf object entries goes through AggregateRTree::Admits, which implements
+// the interval sub-MBR improvement transparently.
 
 #ifndef INDOORFLOW_CORE_PRIORITY_JOIN_H_
 #define INDOORFLOW_CORE_PRIORITY_JOIN_H_
@@ -22,7 +25,6 @@
 #include "src/common/deadline.h"
 #include "src/core/flow.h"
 #include "src/core/query_stats.h"
-#include "src/geometry/region.h"
 #include "src/index/aggregate_rtree.h"
 #include "src/index/rtree.h"
 
@@ -33,33 +35,17 @@ struct QueryProfile;
 struct PriorityJoinSpec {
   const RTree* poi_tree = nullptr;       // R_P over the query POI subset
   const AggregateRTree* objects = nullptr;  // R_I
-  const std::vector<double>* poi_areas = nullptr;    // indexed by PoiId
-  const std::vector<Region>* poi_regions = nullptr;  // indexed by PoiId
-  const FlowConfig* flow = nullptr;
-  /// Returns the (cached) uncertainty region of object slot `i` in R_I.
-  std::function<const Region&(int32_t)> ur_of;
-  /// Optional override for the exact presence integral of (object slot,
-  /// poi id). When set, the join calls it instead of Presence(ur_of(slot),
-  /// ...) and leaves presence accounting (stats->presence_evaluations) to
-  /// the callback — the engine uses this to consult the cross-query cache's
-  /// per-entry presence memos. Must return exactly what the direct
-  /// evaluation would.
-  std::function<double(int32_t, int32_t)> presence_of;
-  /// Optional batch variant: when set it takes precedence, and the join
-  /// hands over one leaf's whole join list (object slots, in list order)
-  /// at once, then sums the returned presences in that same order — so the
-  /// flow's floating-point accumulation sequence, and with it every result
-  /// bit, matches the per-slot loop. The engine uses this to fan the
-  /// per-object derive + integrate work across the shared executor within
-  /// one bound round (round ordering, and thus early termination, is
-  /// untouched). The callback fills `out` aligned with `slots` with
-  /// exactly the values the per-slot path would produce and owns all
-  /// presence/derivation accounting except presence_ns, which stays with
-  /// the join's leaf bracket. See MakeJoinPresenceBatch
-  /// (src/core/parallel_flows.h).
-  std::function<void(const std::vector<int32_t>&, int32_t,
-                     std::vector<double>*)>
-      presence_batch;
+  const std::vector<double>* poi_areas = nullptr;  // indexed by PoiId
+  /// The leaf hook: fills `out`, aligned with `slots` (one leaf's join
+  /// list of R_I object slots, in list order), with each object's presence
+  /// in POI `poi`. The join sums them in that same order, so the flow's
+  /// floating-point accumulation sequence is fixed however the hook
+  /// computes them. The hook owns all derivation and presence accounting
+  /// (QueryStats, EXPLAIN object costs); the join books only its own
+  /// traversal (pois_evaluated, verdicts, bound trace).
+  std::function<void(const std::vector<int32_t>& slots, PoiId poi,
+                     std::vector<double>* out)>
+      leaf_presences;
   /// Optional operation counters (may be null).
   QueryStats* stats = nullptr;
   /// Optional EXPLAIN recorder (may be null): receives per-POI bound
@@ -92,11 +78,11 @@ std::vector<PoiFlow> PriorityJoinTopK(const PriorityJoinSpec& spec, int k,
                                       const std::vector<PoiId>& subset_ids);
 
 /// Runs the best-first join and returns every POI whose flow is at least
-/// `tau` (> 0 required), ordered by flow descending (ties toward lower POI
-/// id). Termination is bound-driven: the traversal stops as soon as the
-/// queue's best upper bound drops below `tau`, so a selective threshold
-/// touches only the hottest corner of the join — the same work-avoidance
-/// that makes the top-k join fast at small k.
+/// `tau` (> 0, checked by the engine), ordered by flow descending (ties
+/// toward lower POI id). Termination is bound-driven: the traversal stops
+/// as soon as the queue's best upper bound drops below `tau`, so a
+/// selective threshold touches only the hottest corner of the join — the
+/// same work-avoidance that makes the top-k join fast at small k.
 std::vector<PoiFlow> PriorityJoinThreshold(const PriorityJoinSpec& spec,
                                            double tau);
 

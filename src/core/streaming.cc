@@ -324,6 +324,21 @@ Region StreamingMonitor::LiveRegion(ObjectId object, Timestamp t,
   return TrackRegion(object, it->second, t);
 }
 
+void StreamingMonitor::TrackPresences(ObjectId object,
+                                      const ObjectTrack& track, Timestamp t,
+                                      TrackContribution* contrib) const {
+  contrib->object = object;
+  const Region ur = TrackRegion(object, track, t);
+  if (ur.IsEmpty()) return;
+  const Box bounds = ur.Bounds();
+  for (size_t i = 0; i < pois_.size(); ++i) {
+    if (!bounds.Intersects(pois_[i].shape.Bounds())) continue;
+    contrib->pois.push_back(static_cast<int32_t>(i));
+    contrib->presences.push_back(
+        Presence(ur, poi_areas_[i], poi_regions_[i], options_.flow));
+  }
+}
+
 bool StreamingMonitor::RecomputeShardTallyLocked(
     Shard& shard, Timestamp t, const QueryControl* control) const {
   // Eviction piggybacks on the full-table walk the recompute needs anyway;
@@ -344,18 +359,8 @@ bool StreamingMonitor::RecomputeShardTallyLocked(
     // Cooperative abandonment: publish nothing and leave the shard dirty,
     // so a later query redoes the walk from scratch.
     if (control != nullptr && control->ShouldAbort()) return false;
-    const ObjectTrack& track = shard.tracks.find(object)->second;
-    const Region ur = TrackRegion(object, track, t);
-    if (ur.IsEmpty()) continue;
-    const Box bounds = ur.Bounds();
     TrackContribution contrib;
-    contrib.object = object;
-    for (size_t i = 0; i < pois_.size(); ++i) {
-      if (!bounds.Intersects(pois_[i].shape.Bounds())) continue;
-      contrib.pois.push_back(static_cast<int32_t>(i));
-      contrib.presences.push_back(
-          Presence(ur, poi_areas_[i], poi_regions_[i], options_.flow));
-    }
+    TrackPresences(object, shard.tracks.find(object)->second, t, &contrib);
     if (contrib.pois.empty()) continue;
     tally->contribs.push_back(std::move(contrib));
   }
@@ -503,11 +508,7 @@ std::vector<FlowEstimate> StreamingMonitor::CurrentTopKEstimate(
   for (size_t p = 0; p < picks.size(); ++p) {
     by_shard[refs[picks[p]].shard].push_back(p);
   }
-  struct PickContribution {
-    std::vector<int32_t> pois;
-    std::vector<double> presences;  // aligned with pois
-  };
-  std::vector<PickContribution> contribs(picks.size());
+  std::vector<TrackContribution> contribs(picks.size());
   // Picks that vanish between the enumeration and evaluation passes (a
   // concurrent eviction sweep) are not zero-presence observations: they
   // must leave both the sample and the population, or the estimator and
@@ -529,23 +530,14 @@ std::vector<FlowEstimate> StreamingMonitor::CurrentTopKEstimate(
       const auto it = shard.tracks.find(refs[picks[p]].object);
       if (it == shard.tracks.end()) continue;  // raced an eviction sweep
       found[p] = 1;
-      const Region ur = TrackRegion(it->first, it->second, t);
-      if (ur.IsEmpty()) continue;
-      const Box bounds = ur.Bounds();
-      PickContribution& contrib = contribs[p];
-      for (size_t i = 0; i < pois_.size(); ++i) {
-        if (!bounds.Intersects(pois_[i].shape.Bounds())) continue;
-        contrib.pois.push_back(static_cast<int32_t>(i));
-        contrib.presences.push_back(
-            Presence(ur, poi_areas_[i], poi_regions_[i], options_.flow));
-      }
+      TrackPresences(it->first, it->second, t, &contribs[p]);
     }
   }
   // Serial accumulation in ascending object-id order (pick order), mirroring
   // the exact path's merge discipline so repeated runs are bit-identical.
   std::unordered_map<PoiId, double> sums;
   std::unordered_map<PoiId, double> sums_sq;
-  for (const PickContribution& contrib : contribs) {
+  for (const TrackContribution& contrib : contribs) {
     for (size_t c = 0; c < contrib.pois.size(); ++c) {
       const PoiId poi = contrib.pois[c];
       const double presence = contrib.presences[c];

@@ -30,8 +30,8 @@
 // tally. The final flow accumulation is a serial merge across shard
 // tallies in ascending object-id order, so the summed per-POI flows are
 // bit-identical for every shard count (the same map/ordered-reduce
-// discipline as src/core/parallel_flows.h; pinned by
-// tests/streaming_shard_test.cc).
+// discipline as the historical engine's per-object kernel in
+// src/core/query_pipeline.cc; pinned by tests/streaming_shard_test.cc).
 //
 // Eviction: tracks whose open record ended more than the eviction lag
 // before the stream clock are dropped during tally recomputes and during
@@ -267,6 +267,14 @@ class StreamingMonitor {
   /// cache never calls back out).
   Region TrackRegion(ObjectId object, const ObjectTrack& track,
                      Timestamp t) const;
+
+  /// The one per-track step both live top-k paths share (region -> POI
+  /// scan -> presences): fills `contrib` with `object` and, unless its
+  /// live region at `t` is empty, every POI whose bounds that region's
+  /// bounds touch, with the presence in each. Same lock rule as
+  /// TrackRegion.
+  void TrackPresences(ObjectId object, const ObjectTrack& track, Timestamp t,
+                      TrackContribution* contrib) const;
 
   const Deployment& deployment_;
   const PoiSet& pois_;

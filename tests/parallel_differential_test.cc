@@ -1,10 +1,13 @@
 // Differential validation of intra-query parallelism: an engine with
-// EngineConfig::threads > 1 (and parallel_threshold = 1, forcing the
-// parallel path) must return bit-identical flows AND identical work
-// counters for every query method, both algorithms, with and without the
-// cross-query UR cache — across several dataset seeds. This is the
-// enforcement half of the determinism contract documented on
-// QueryEngine::SnapshotTopK and src/core/parallel_flows.h.
+// EngineConfig::threads > 1 must return bit-identical flows, identical
+// work counters and the same EXPLAIN verdicts and object-cost order as a
+// serial one for every query method, both algorithms and the sampled
+// estimates, with and without the cross-query UR cache — across several
+// dataset seeds and at two parallel thresholds (1 forces every section
+// parallel; 8 also sends small join leaf lists down the one-lane path).
+// This is the enforcement half of the determinism contract documented on
+// QueryEngine::SnapshotTopK and on the per-object evaluation kernel in
+// src/core/query_pipeline.cc.
 
 #include <memory>
 #include <vector>
@@ -13,6 +16,7 @@
 
 #include "src/core/engine.h"
 #include "src/core/flow_matrix.h"
+#include "src/core/query_profile.h"
 
 namespace indoorflow {
 namespace {
@@ -42,6 +46,46 @@ void ExpectSameWork(const QueryStats& serial, const QueryStats& parallel,
   EXPECT_EQ(serial.ur_cache_hits, parallel.ur_cache_hits) << what;
 }
 
+// EXPLAIN must not depend on who computed what either: each POI's verdict,
+// flow (bit-equal) and presence count, and the order in which objects were
+// derived. The derive_ns values are clock readings and legitimately differ.
+void ExpectSameExplain(const QueryProfile& serial,
+                       const QueryProfile& parallel, const char* what) {
+  ASSERT_EQ(serial.pois.size(), parallel.pois.size()) << what;
+  for (size_t i = 0; i < serial.pois.size(); ++i) {
+    const QueryProfile::PoiEntry& s = serial.pois[i];
+    const QueryProfile::PoiEntry& p = parallel.pois[i];
+    EXPECT_EQ(s.poi, p.poi) << what << " entry " << i;
+    EXPECT_EQ(s.verdict, p.verdict) << what << " poi " << s.poi;
+    EXPECT_EQ(s.flow, p.flow) << what << " poi " << s.poi;
+    EXPECT_EQ(s.presence_evals, p.presence_evals) << what << " poi " << s.poi;
+  }
+  ASSERT_EQ(serial.object_costs.size(), parallel.object_costs.size())
+      << what;
+  for (size_t i = 0; i < serial.object_costs.size(); ++i) {
+    EXPECT_EQ(serial.object_costs[i].object,
+              parallel.object_costs[i].object)
+        << what << " object cost " << i;
+  }
+}
+
+// Sampled estimates: value, standard error and CI bounds bit-identical.
+void ExpectSameEstimates(const std::vector<FlowEstimate>& serial,
+                         const std::vector<FlowEstimate>& parallel,
+                         const char* what) {
+  ASSERT_EQ(serial.size(), parallel.size()) << what;
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].poi, parallel[i].poi) << what << " rank " << i;
+    EXPECT_EQ(serial[i].exact, parallel[i].exact) << what << " rank " << i;
+    EXPECT_EQ(serial[i].value, parallel[i].value) << what << " rank " << i;
+    EXPECT_EQ(serial[i].std_err, parallel[i].std_err)
+        << what << " rank " << i;
+    EXPECT_EQ(serial[i].ci_low, parallel[i].ci_low) << what << " rank " << i;
+    EXPECT_EQ(serial[i].ci_high, parallel[i].ci_high)
+        << what << " rank " << i;
+  }
+}
+
 Dataset MakeDataset(uint64_t seed) {
   OfficeDatasetConfig config;
   config.num_objects = 12;
@@ -50,11 +94,14 @@ Dataset MakeDataset(uint64_t seed) {
   return GenerateOfficeDataset(config);
 }
 
+// parallel_threshold = 1 forces every parallel section when threads > 1;
+// larger values leave sections below it (small join leaf lists) serial.
 std::unique_ptr<QueryEngine> MakeEngine(const Dataset& dataset, int threads,
-                                        bool cache) {
+                                        bool cache,
+                                        int parallel_threshold = 1) {
   EngineConfig config;
   config.threads = threads;
-  config.parallel_threshold = 1;  // force the parallel path when threads > 1
+  config.parallel_threshold = parallel_threshold;
   config.ur_cache.enabled = cache;
   return std::make_unique<QueryEngine>(dataset, config);
 }
@@ -70,48 +117,100 @@ void RunMatrix(const QueryEngine& serial, const QueryEngine& parallel) {
   for (const Algorithm algo : algos) {
     for (const Timestamp t : times) {
       QueryStats ss, ps;
-      ExpectSameFlows(serial.SnapshotTopK(t, kK, algo, nullptr, &ss),
-                      parallel.SnapshotTopK(t, kK, algo, nullptr, &ps),
+      QueryProfile sp, pp;
+      ExpectSameFlows(serial.SnapshotTopK(t, kK, algo, nullptr, &ss, &sp),
+                      parallel.SnapshotTopK(t, kK, algo, nullptr, &ps, &pp),
                       "SnapshotTopK");
       ExpectSameWork(ss, ps, "SnapshotTopK");
+      ExpectSameExplain(sp, pp, "SnapshotTopK");
       ss.Reset();
       ps.Reset();
+      sp = QueryProfile();
+      pp = QueryProfile();
       ExpectSameFlows(
-          serial.IntervalTopK(t, t + 120.0, kK, algo, nullptr, &ss),
-          parallel.IntervalTopK(t, t + 120.0, kK, algo, nullptr, &ps),
+          serial.IntervalTopK(t, t + 120.0, kK, algo, nullptr, &ss, &sp),
+          parallel.IntervalTopK(t, t + 120.0, kK, algo, nullptr, &ps, &pp),
           "IntervalTopK");
       ExpectSameWork(ss, ps, "IntervalTopK");
+      ExpectSameExplain(sp, pp, "IntervalTopK");
       ss.Reset();
       ps.Reset();
+      sp = QueryProfile();
+      pp = QueryProfile();
       ExpectSameFlows(
-          serial.SnapshotThreshold(t, kTau, algo, nullptr, &ss),
-          parallel.SnapshotThreshold(t, kTau, algo, nullptr, &ps),
+          serial.SnapshotThreshold(t, kTau, algo, nullptr, &ss, &sp),
+          parallel.SnapshotThreshold(t, kTau, algo, nullptr, &ps, &pp),
           "SnapshotThreshold");
       ExpectSameWork(ss, ps, "SnapshotThreshold");
+      ExpectSameExplain(sp, pp, "SnapshotThreshold");
       ss.Reset();
       ps.Reset();
+      sp = QueryProfile();
+      pp = QueryProfile();
       ExpectSameFlows(
-          serial.IntervalThreshold(t, t + 120.0, kTau, algo, nullptr, &ss),
+          serial.IntervalThreshold(t, t + 120.0, kTau, algo, nullptr, &ss,
+                                   &sp),
           parallel.IntervalThreshold(t, t + 120.0, kTau, algo, nullptr,
-                                     &ps),
+                                     &ps, &pp),
           "IntervalThreshold");
       ExpectSameWork(ss, ps, "IntervalThreshold");
+      ExpectSameExplain(sp, pp, "IntervalThreshold");
       ss.Reset();
       ps.Reset();
+      sp = QueryProfile();
+      pp = QueryProfile();
       ExpectSameFlows(
-          serial.SnapshotDensityTopK(t, kK, algo, nullptr, &ss),
-          parallel.SnapshotDensityTopK(t, kK, algo, nullptr, &ps),
+          serial.SnapshotDensityTopK(t, kK, algo, nullptr, &ss, &sp),
+          parallel.SnapshotDensityTopK(t, kK, algo, nullptr, &ps, &pp),
           "SnapshotDensityTopK");
       ExpectSameWork(ss, ps, "SnapshotDensityTopK");
+      ExpectSameExplain(sp, pp, "SnapshotDensityTopK");
       ss.Reset();
       ps.Reset();
+      sp = QueryProfile();
+      pp = QueryProfile();
       ExpectSameFlows(
-          serial.IntervalDensityTopK(t, t + 120.0, kK, algo, nullptr, &ss),
+          serial.IntervalDensityTopK(t, t + 120.0, kK, algo, nullptr, &ss,
+                                     &sp),
           parallel.IntervalDensityTopK(t, t + 120.0, kK, algo, nullptr,
-                                       &ps),
+                                       &ps, &pp),
           "IntervalDensityTopK");
       ExpectSameWork(ss, ps, "IntervalDensityTopK");
+      ExpectSameExplain(sp, pp, "IntervalDensityTopK");
     }
+  }
+  // Sampled estimates (iterative only): a budget below the population, so
+  // the Horvitz–Thompson path really subsamples.
+  ApproxConfig approx;
+  approx.mode = ApproxMode::kSampled;
+  approx.sample_budget = 3;
+  for (const Timestamp t : times) {
+    QueryStats ss, ps;
+    QueryProfile sp, pp;
+    ExpectSameEstimates(
+        serial.SnapshotTopKEstimate(t, kK, approx, nullptr, &ss, &sp),
+        parallel.SnapshotTopKEstimate(t, kK, approx, nullptr, &ps, &pp),
+        "SnapshotTopKEstimate");
+    EXPECT_LT(ss.sample_size, ss.sample_population) << "t=" << t;
+    ExpectSameWork(ss, ps, "SnapshotTopKEstimate");
+    EXPECT_EQ(ss.sample_size, ps.sample_size);
+    EXPECT_EQ(ss.sample_population, ps.sample_population);
+    ExpectSameExplain(sp, pp, "SnapshotTopKEstimate");
+    ss.Reset();
+    ps.Reset();
+    sp = QueryProfile();
+    pp = QueryProfile();
+    ExpectSameEstimates(
+        serial.IntervalTopKEstimate(t, t + 120.0, kK, approx, nullptr, &ss,
+                                    &sp),
+        parallel.IntervalTopKEstimate(t, t + 120.0, kK, approx, nullptr,
+                                      &ps, &pp),
+        "IntervalTopKEstimate");
+    EXPECT_LT(ss.sample_size, ss.sample_population) << "t=" << t;
+    ExpectSameWork(ss, ps, "IntervalTopKEstimate");
+    EXPECT_EQ(ss.sample_size, ps.sample_size);
+    EXPECT_EQ(ss.sample_population, ps.sample_population);
+    ExpectSameExplain(sp, pp, "IntervalTopKEstimate");
   }
 }
 
@@ -119,9 +218,13 @@ TEST(ParallelDifferentialTest, AllMethodsBitIdenticalAcrossSeeds) {
   for (const uint64_t seed : {uint64_t{321}, uint64_t{99}, uint64_t{7}}) {
     SCOPED_TRACE(seed);
     const Dataset dataset = MakeDataset(seed);
-    const auto serial = MakeEngine(dataset, 1, /*cache=*/false);
-    const auto parallel = MakeEngine(dataset, 8, /*cache=*/false);
-    RunMatrix(*serial, *parallel);
+    for (const int threshold : {1, 8}) {
+      SCOPED_TRACE(threshold);
+      const auto serial = MakeEngine(dataset, 1, /*cache=*/false, threshold);
+      const auto parallel =
+          MakeEngine(dataset, 8, /*cache=*/false, threshold);
+      RunMatrix(*serial, *parallel);
+    }
   }
 }
 
@@ -130,11 +233,14 @@ TEST(ParallelDifferentialTest, AllMethodsBitIdenticalAcrossSeeds) {
 // produce identical hit counts and flows on both engines.
 TEST(ParallelDifferentialTest, BitIdenticalWithUrCache) {
   const Dataset dataset = MakeDataset(321);
-  const auto serial = MakeEngine(dataset, 1, /*cache=*/true);
-  const auto parallel = MakeEngine(dataset, 8, /*cache=*/true);
-  RunMatrix(*serial, *parallel);
-  // Second pass hits the warm cache.
-  RunMatrix(*serial, *parallel);
+  for (const int threshold : {1, 8}) {
+    SCOPED_TRACE(threshold);
+    const auto serial = MakeEngine(dataset, 1, /*cache=*/true, threshold);
+    const auto parallel = MakeEngine(dataset, 8, /*cache=*/true, threshold);
+    RunMatrix(*serial, *parallel);
+    // Second pass hits the warm cache.
+    RunMatrix(*serial, *parallel);
+  }
 }
 
 // A parallel query must actually record fan-out when forced.

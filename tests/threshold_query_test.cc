@@ -4,6 +4,7 @@
 // termination.
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -242,6 +243,30 @@ TEST_F(ThresholdFixture, QuietWindowIsEmpty) {
   const auto iter =
       engine_->SnapshotThreshold(-100.0, 0.01, Algorithm::kIterative);
   EXPECT_TRUE(iter.empty());
+}
+
+// One tau precondition for both algorithms: a threshold query with a
+// non-positive or NaN tau aborts on the engine's check, so the iterative
+// path can no longer silently return every POI where the join aborts.
+using ThresholdDeathTest = ThresholdFixture;
+
+void ExpectTauRejected(const QueryEngine& engine, Algorithm algorithm) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(engine.SnapshotThreshold(600.0, 0.0, algorithm),
+               "INDOORFLOW_CHECK failed at .*: .*tau > 0");
+  EXPECT_DEATH(engine.SnapshotThreshold(600.0, -0.5, algorithm),
+               "INDOORFLOW_CHECK failed at .*: .*tau > 0");
+  EXPECT_DEATH(engine.IntervalThreshold(400.0, 800.0, std::nan(""),
+                                        algorithm),
+               "INDOORFLOW_CHECK failed at .*: .*tau > 0");
+}
+
+TEST_F(ThresholdDeathTest, IterativeRejectsNonPositiveTau) {
+  ExpectTauRejected(*engine_, Algorithm::kIterative);
+}
+
+TEST_F(ThresholdDeathTest, JoinRejectsNonPositiveTau) {
+  ExpectTauRejected(*engine_, Algorithm::kJoin);
 }
 
 }  // namespace
