@@ -143,9 +143,12 @@ void BM_Ablation_ThresholdQuery(benchmark::State& state) {
   QueryStats stats;
   int64_t queries = 0;
   for (auto _ : state) {
-    auto result = engine.SnapshotThreshold(
-        t, tau, join ? Algorithm::kJoin : Algorithm::kIterative, nullptr,
-        &stats);
+    auto result = EstimatesToFlows(engine.Run(
+        {.ts = t,
+         .te = t,
+         .objective = Objective::kThreshold,
+         .algorithm = join ? Algorithm::kJoin : Algorithm::kIterative,
+         .tau = tau}, {.stats = &stats}));
     benchmark::DoNotOptimize(result);
     ++queries;
   }
@@ -177,9 +180,12 @@ void BM_Ablation_DensityQuery(benchmark::State& state) {
   QueryStats stats;
   int64_t queries = 0;
   for (auto _ : state) {
-    auto result = engine.SnapshotDensityTopK(
-        t, k, join ? Algorithm::kJoin : Algorithm::kIterative, nullptr,
-        &stats);
+    auto result = EstimatesToFlows(engine.Run(
+        {.ts = t,
+         .te = t,
+         .objective = Objective::kDensity,
+         .algorithm = join ? Algorithm::kJoin : Algorithm::kIterative,
+         .k = k}, {.stats = &stats}));
     benchmark::DoNotOptimize(result);
     ++queries;
   }

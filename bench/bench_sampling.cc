@@ -71,8 +71,11 @@ Quality MeasureQuality(const QueryEngine& engine,
       engine.SnapshotTopK(t, static_cast<int>(subset.size()),
                           Algorithm::kIterative, &subset);
   QueryStats stats;
-  const auto estimates = engine.SnapshotTopKEstimate(
-      t, static_cast<int>(subset.size()), approx, &subset, &stats);
+  const auto estimates = engine.Run({.ts = t,
+                                     .te = t,
+                                     .k = static_cast<int>(subset.size()),
+                                     .subset = &subset,
+                                     .approx = approx}, {.stats = &stats});
 
   std::set<PoiId> exact_top;
   for (int i = 0; i < k && i < static_cast<int>(exact.size()); ++i) {
@@ -147,8 +150,11 @@ void BM_Sampling_Budget(benchmark::State& state) {
   QueryStats stats;
   int64_t queries = 0;
   for (auto _ : state) {
-    auto result = engine.SnapshotTopKEstimate(t, bench::kKDefault, approx,
-                                              &subset, &stats);
+    auto result = engine.Run({.ts = t,
+                              .te = t,
+                              .k = bench::kKDefault,
+                              .subset = &subset,
+                              .approx = approx}, {.stats = &stats});
     benchmark::DoNotOptimize(result);
     ++queries;
   }
@@ -177,8 +183,11 @@ void BM_Sampling_Adaptive(benchmark::State& state) {
   QueryStats stats;
   int64_t queries = 0;
   for (auto _ : state) {
-    auto result = engine.SnapshotTopKEstimate(t, bench::kKDefault, approx,
-                                              &subset, &stats);
+    auto result = engine.Run({.ts = t,
+                              .te = t,
+                              .k = bench::kKDefault,
+                              .subset = &subset,
+                              .approx = approx}, {.stats = &stats});
     benchmark::DoNotOptimize(result);
     ++queries;
   }

@@ -3,7 +3,7 @@
 //
 //   1. BuildItinerary — reconstruct where one tracked passenger likely
 //      was, POI by POI, from nothing but their symbolic tracking records.
-//   2. SnapshotThreshold — "every POI with flow >= tau right now", the
+//   2. A threshold query — "every POI with flow >= tau right now", the
 //      alerting companion to the paper's top-k (the join algorithm stops
 //      as soon as its flow upper bound drops below tau).
 //
@@ -80,7 +80,7 @@ int main() {
   // --- 2. Threshold alerting --------------------------------------------
   // Detection gaps make every room carry a baseline of diffuse presence,
   // so a useful alert threshold is relative: flag POIs within 95% of the
-  // building's mid-window peak flow. SnapshotThreshold's join traversal
+  // building's mid-window peak flow. The threshold join's traversal
   // stops as soon as its flow upper bound drops below tau, so the alert is
   // much cheaper than ranking everything.
   const auto peak = engine.SnapshotTopK(data_config.duration / 2.0, 1,
@@ -89,7 +89,12 @@ int main() {
   std::printf("\nPOIs with flow >= %.1f (95%% of the midday peak):\n", tau);
   std::printf("%8s   %-60s\n", "time", "POIs over threshold (flow)");
   for (Timestamp t = 600.0; t < data_config.duration; t += 600.0) {
-    const auto hot = engine.SnapshotThreshold(t, tau, Algorithm::kJoin);
+    const auto hot = EstimatesToFlows(engine.Run(
+        {.ts = t,
+         .te = t,
+         .objective = Objective::kThreshold,
+         .algorithm = Algorithm::kJoin,
+         .tau = tau}));
     std::printf("%7.0fs   ", t);
     if (hot.empty()) {
       std::printf("-\n");

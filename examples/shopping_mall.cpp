@@ -84,7 +84,11 @@ int main() {
   // aggressively than with flow bounds (small POIs dominate).
   std::printf("\nDensity top-5 at t = 5400 s (people per m^2):\n");
   for (const PoiFlow& f :
-       engine.SnapshotDensityTopK(5400.0, 5, Algorithm::kJoin)) {
+       EstimatesToFlows(engine.Run({.ts = 5400.0,
+                                    .te = 5400.0,
+                                    .objective = Objective::kDensity,
+                                    .algorithm = Algorithm::kJoin,
+                                    .k = 5}))) {
     std::printf("  %-20s density = %.4f\n",
                 mall.pois[static_cast<size_t>(f.poi)].name.c_str(), f.flow);
   }

@@ -41,8 +41,8 @@ namespace indoorflow {
 
 /// How a query evaluates per-POI flows.
 enum class ApproxMode {
-  /// Evaluate every surviving object. Bit-identical to an engine without an
-  /// approximation config: exact queries never touch the sampling code.
+  /// Evaluate every surviving object. Exact queries never touch the
+  /// sampling code.
   kExact,
   /// Always sample down to `sample_budget` objects (no-op when the
   /// population is already within budget).
@@ -52,12 +52,13 @@ enum class ApproxMode {
   kAdaptive,
 };
 
-/// Approximate-evaluation knobs (EngineConfig::approx, StreamingOptions::
-/// approx, and per-request overrides on the serving layer).
+/// Approximate-evaluation knobs: QuerySpec::approx, the per-call argument
+/// of StreamingMonitor::CurrentTopKEstimate, and the serving layer's
+/// default and per-request overrides.
 struct ApproxConfig {
   ApproxMode mode = ApproxMode::kExact;
-  /// Maximum number of objects evaluated by a sampled query. The CLI and
-  /// serving boundaries reject budgets below 2: a single draw has no
+  /// Maximum number of objects evaluated by a sampled query.
+  /// ValidateQuerySpec rejects budgets below 2: a single draw has no
   /// within-sample variance, so its error would be undefined (see
   /// EstimateFlows).
   int64_t sample_budget = 256;

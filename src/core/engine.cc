@@ -1,7 +1,6 @@
 #include "src/core/engine.h"
 
 #include <limits>
-#include <type_traits>
 #include <utility>
 
 #include "src/common/executor.h"
@@ -179,16 +178,29 @@ class QueryMetricsScope {
 
 // The engine-side profile header: query identity, parameters, and the POI
 // subset registration that anchors the verdict invariant.
-void BeginProfile(QueryProfile* profile, const QueryShape& shape,
+void BeginProfile(QueryProfile* profile, const QuerySpec& spec,
                   const std::vector<PoiId>& ids) {
   if (profile == nullptr) return;
   profile->algorithm =
-      shape.algorithm == Algorithm::kJoin ? "join" : "iterative";
-  profile->ts = shape.ts;
-  profile->te = shape.te;
-  profile->k = shape.k;
-  profile->tau = shape.tau;
+      spec.algorithm == Algorithm::kJoin ? "join" : "iterative";
+  profile->ts = spec.ts;
+  profile->te = spec.te;
+  profile->k = spec.k;
+  profile->tau = spec.tau;
   profile->BeginPois(ids);
+}
+
+// The query's metrics-scope and EXPLAIN `kind`: its time shape, then its
+// objective (columns in Objective's declaration order), or TopKEstimate
+// when it runs the sampling estimator.
+const char* QueryKind(const QuerySpec& spec, bool estimate) {
+  static constexpr const char* kKinds[2][4] = {
+      {"SnapshotTopK", "SnapshotThreshold", "SnapshotDensityTopK",
+       "SnapshotTopKEstimate"},
+      {"IntervalTopK", "IntervalThreshold", "IntervalDensityTopK",
+       "IntervalTopKEstimate"}};
+  return kKinds[spec.interval ? 1 : 0]
+               [estimate ? 3 : static_cast<int>(spec.objective)];
 }
 
 }  // namespace
@@ -300,61 +312,52 @@ QueryEngine::PoiSelection QueryEngine::SelectPois(
   return selection;
 }
 
-template <typename Result>
-std::vector<Result> QueryEngine::Dispatch(const char* name,
-                                          const QueryShape& shape,
-                                          const std::vector<PoiId>* subset,
-                                          QueryStats* stats,
-                                          QueryProfile* profile,
-                                          const QueryControl* control,
-                                          const ApproxConfig* approx) const {
-  if (shape.objective == Objective::kThreshold) {
-    INDOORFLOW_CHECK(shape.tau > 0.0);
+std::vector<FlowEstimate> QueryEngine::Run(const QuerySpec& spec,
+                                           const QueryOptions& options) const {
+  if (spec.objective == Objective::kThreshold) {
+    INDOORFLOW_CHECK(spec.tau > 0.0);
   }
-  QueryMetricsScope scope(shape.interval ? IntervalMetrics()
-                                         : SnapshotMetrics(),
-                          name, stats, profile, recorder_, control);
-  const PoiSelection selection = SelectPois(subset);
-  BeginProfile(profile, shape, selection.ids);
+  const bool estimate = IsEstimate(spec);
+  QueryStats* stats = options.stats;
+  QueryProfile* profile = options.profile;
+  QueryMetricsScope scope(spec.interval ? IntervalMetrics()
+                                        : SnapshotMetrics(),
+                          QueryKind(spec, estimate), stats, profile,
+                          recorder_, options.control);
+  const PoiSelection selection = SelectPois(spec.subset);
+  BeginProfile(profile, spec, selection.ids);
   QueryContext ctx = MakeContext();
   ctx.stats = stats;
   ctx.profile = profile;
-  ctx.control = control;
+  ctx.control = options.control;
   ctx.span = scope.span();
-  if constexpr (std::is_same_v<Result, FlowEstimate>) {
-    return EstimateQuery(ctx, selection.tree(), selection.ids, shape,
-                         *approx);
-  } else {
-    return EvaluateQuery(ctx, selection.tree(), selection.ids, shape);
+  if (estimate) {
+    return EstimateQuery(ctx, selection.tree(), selection.ids, spec);
   }
+  return ExactEstimates(
+      EvaluateQuery(ctx, selection.tree(), selection.ids, spec));
 }
 
 std::vector<PoiFlow> QueryEngine::SnapshotTopK(
     Timestamp t, int k, Algorithm algorithm,
     const std::vector<PoiId>* subset, QueryStats* stats,
     QueryProfile* profile, const QueryControl* control) const {
-  // Approximate routing happens before the metrics scope so the estimate
-  // path books exactly one query; kExact (the default) falls straight
-  // through to the unchanged exact code below.
-  if (config_.approx.mode != ApproxMode::kExact &&
-      algorithm == Algorithm::kIterative) {
-    return EstimatesToFlows(SnapshotTopKEstimate(t, k, config_.approx,
-                                                 subset, stats, profile,
-                                                 control));
-  }
-  return SnapshotTopKExact(t, k, algorithm, subset, stats, profile, control);
+  return EstimatesToFlows(
+      Run({.ts = t, .te = t, .algorithm = algorithm, .k = k, .subset = subset},
+          {stats, profile, control}));
 }
 
-std::vector<PoiFlow> QueryEngine::SnapshotTopKExact(
-    Timestamp t, int k, Algorithm algorithm,
+std::vector<PoiFlow> QueryEngine::IntervalTopK(
+    Timestamp ts, Timestamp te, int k, Algorithm algorithm,
     const std::vector<PoiId>* subset, QueryStats* stats,
     QueryProfile* profile, const QueryControl* control) const {
-  // The metrics scope keeps the routed name: this is SnapshotTopK's exact
-  // body, reachable directly so a per-request approx=exact pin cannot be
-  // re-routed by a sampled engine config.
-  return Dispatch<PoiFlow>(
-      "SnapshotTopK", {.ts = t, .te = t, .algorithm = algorithm, .k = k},
-      subset, stats, profile, control);
+  return EstimatesToFlows(Run({.interval = true,
+                               .ts = ts,
+                               .te = te,
+                               .algorithm = algorithm,
+                               .k = k,
+                               .subset = subset},
+                              {stats, profile, control}));
 }
 
 std::vector<std::vector<PoiFlow>> QueryEngine::SnapshotTopKBatch(
@@ -370,33 +373,6 @@ std::vector<std::vector<PoiFlow>> QueryEngine::SnapshotTopKBatch(
         results[i] = SnapshotTopK(times[i], k, algorithm, subset);
       });
   return results;
-}
-
-std::vector<PoiFlow> QueryEngine::SnapshotDensityTopK(
-    Timestamp t, int k, Algorithm algorithm,
-    const std::vector<PoiId>* subset, QueryStats* stats,
-    QueryProfile* profile, const QueryControl* control) const {
-  return Dispatch<PoiFlow>("SnapshotDensityTopK",
-                           {.ts = t,
-                            .te = t,
-                            .objective = Objective::kDensity,
-                            .algorithm = algorithm,
-                            .k = k},
-                           subset, stats, profile, control);
-}
-
-std::vector<PoiFlow> QueryEngine::IntervalDensityTopK(
-    Timestamp ts, Timestamp te, int k, Algorithm algorithm,
-    const std::vector<PoiId>* subset, QueryStats* stats,
-    QueryProfile* profile, const QueryControl* control) const {
-  return Dispatch<PoiFlow>("IntervalDensityTopK",
-                           {.interval = true,
-                            .ts = ts,
-                            .te = te,
-                            .objective = Objective::kDensity,
-                            .algorithm = algorithm,
-                            .k = k},
-                           subset, stats, profile, control);
 }
 
 Region QueryEngine::ObjectRegionAt(ObjectId object, Timestamp t) const {
@@ -419,79 +395,6 @@ std::vector<ObjectId> QueryEngine::ActiveObjects(Timestamp t) const {
   std::sort(objects.begin(), objects.end());
   objects.erase(std::unique(objects.begin(), objects.end()), objects.end());
   return objects;
-}
-
-std::vector<PoiFlow> QueryEngine::SnapshotThreshold(
-    Timestamp t, double tau, Algorithm algorithm,
-    const std::vector<PoiId>* subset, QueryStats* stats,
-    QueryProfile* profile, const QueryControl* control) const {
-  return Dispatch<PoiFlow>("SnapshotThreshold",
-                           {.ts = t,
-                            .te = t,
-                            .objective = Objective::kThreshold,
-                            .algorithm = algorithm,
-                            .tau = tau},
-                           subset, stats, profile, control);
-}
-
-std::vector<PoiFlow> QueryEngine::IntervalThreshold(
-    Timestamp ts, Timestamp te, double tau, Algorithm algorithm,
-    const std::vector<PoiId>* subset, QueryStats* stats,
-    QueryProfile* profile, const QueryControl* control) const {
-  return Dispatch<PoiFlow>("IntervalThreshold",
-                           {.interval = true,
-                            .ts = ts,
-                            .te = te,
-                            .objective = Objective::kThreshold,
-                            .algorithm = algorithm,
-                            .tau = tau},
-                           subset, stats, profile, control);
-}
-
-std::vector<PoiFlow> QueryEngine::IntervalTopK(
-    Timestamp ts, Timestamp te, int k, Algorithm algorithm,
-    const std::vector<PoiId>* subset, QueryStats* stats,
-    QueryProfile* profile, const QueryControl* control) const {
-  // As in SnapshotTopK: estimate routing precedes the metrics scope.
-  if (config_.approx.mode != ApproxMode::kExact &&
-      algorithm == Algorithm::kIterative) {
-    return EstimatesToFlows(IntervalTopKEstimate(ts, te, k, config_.approx,
-                                                 subset, stats, profile,
-                                                 control));
-  }
-  return IntervalTopKExact(ts, te, k, algorithm, subset, stats, profile,
-                           control);
-}
-
-std::vector<PoiFlow> QueryEngine::IntervalTopKExact(
-    Timestamp ts, Timestamp te, int k, Algorithm algorithm,
-    const std::vector<PoiId>* subset, QueryStats* stats,
-    QueryProfile* profile, const QueryControl* control) const {
-  // IntervalTopK's exact body under its routed metrics name, as in
-  // SnapshotTopKExact.
-  return Dispatch<PoiFlow>(
-      "IntervalTopK",
-      {.interval = true, .ts = ts, .te = te, .algorithm = algorithm, .k = k},
-      subset, stats, profile, control);
-}
-
-std::vector<FlowEstimate> QueryEngine::SnapshotTopKEstimate(
-    Timestamp t, int k, const ApproxConfig& approx,
-    const std::vector<PoiId>* subset, QueryStats* stats,
-    QueryProfile* profile, const QueryControl* control) const {
-  return Dispatch<FlowEstimate>("SnapshotTopKEstimate",
-                                {.ts = t, .te = t, .k = k}, subset, stats,
-                                profile, control, &approx);
-}
-
-std::vector<FlowEstimate> QueryEngine::IntervalTopKEstimate(
-    Timestamp ts, Timestamp te, int k, const ApproxConfig& approx,
-    const std::vector<PoiId>* subset, QueryStats* stats,
-    QueryProfile* profile, const QueryControl* control) const {
-  return Dispatch<FlowEstimate>(
-      "IntervalTopKEstimate",
-      {.interval = true, .ts = ts, .te = te, .k = k}, subset, stats,
-      profile, control, &approx);
 }
 
 }  // namespace indoorflow

@@ -1,11 +1,14 @@
 // QueryEngine: the library's main entry point.
 //
 // Owns the indexes and configuration and answers the paper's two query
-// types with either algorithm:
+// types with either algorithm, plus the threshold, density and sampled
+// extensions, through one entrypoint:
 //
 //   QueryEngine engine(dataset, EngineConfig{});
-//   auto top = engine.SnapshotTopK(t, /*k=*/5, Algorithm::kJoin);
-//   auto top2 = engine.IntervalTopK(ts, te, 5, Algorithm::kIterative);
+//   auto top = engine.Run({.ts = t, .te = t, .algorithm = Algorithm::kJoin,
+//                          .k = 5});
+//   auto hot = engine.Run({.interval = true, .ts = ts, .te = te,
+//                          .objective = Objective::kThreshold, .tau = 2.0});
 
 // Thread safety: a constructed engine is safe for concurrent const use —
 // any number of threads may issue queries against one instance (this is
@@ -74,18 +77,14 @@ struct EngineConfig {
   int poi_fanout = 8;
   int ri_fanout = 8;
   int artree_fanout = 32;
-  /// Approximate evaluation (src/core/approx.h, docs/APPROXIMATION.md).
-  /// The default kExact mode routes every query through the unchanged
-  /// exact code — bit-identical to an engine predating the sampling layer.
-  /// kSampled / kAdaptive make the top-k methods evaluate a deterministic
-  /// uniform subsample of the filter-phase candidates and rank by
-  /// Horvitz–Thompson estimates; use the *TopKEstimate methods to also get
-  /// each value's standard error and 95% confidence interval. Threshold
-  /// and density queries always run exactly (a sampled flow can straddle
-  /// tau, and density division amplifies estimator noise unevenly), as
-  /// does Algorithm::kJoin (its early-termination bounds assume every
-  /// object is present).
-  ApproxConfig approx;
+};
+
+/// Per-call out-parameters and request control for QueryEngine::Run; all
+/// optional (null = not wanted).
+struct QueryOptions {
+  QueryStats* stats = nullptr;
+  QueryProfile* profile = nullptr;
+  const QueryControl* control = nullptr;
 };
 
 class QueryEngine {
@@ -100,98 +99,58 @@ class QueryEngine {
   /// dataset; other config fields from `config`).
   QueryEngine(const Dataset& dataset, EngineConfig config);
 
-  /// Problem 1: the k POIs with the highest snapshot flow at `t`.
-  /// `subset` selects the query POIs (nullptr = all); `stats`, when
-  /// non-null, accumulates operation counters for this query. `profile`,
-  /// when non-null, receives this query's EXPLAIN profile (per-POI
-  /// prune/evaluate verdicts, object derivation costs, join bound trace —
-  /// see src/core/query_profile.h); like `stats`, pass a distinct one per
-  /// thread. `control`, when non-null, attaches a per-request deadline /
-  /// cancellation token (src/common/deadline.h): the query polls it
-  /// between per-object work items and returns early once it trips —
-  /// check control->Aborted() afterwards and discard the partial result.
+  /// Answers one query: `spec` names its time shape (Problem 1 at t, or
+  /// Problem 2 over [ts, te]), objective (top-k, threshold or density),
+  /// algorithm, query POIs and evaluation mode. Rows come ranked:
+  ///
+  ///   - top-k: the k POIs with the highest flow;
+  ///   - threshold (an indoorflow extension): every query POI whose flow
+  ///     is at least tau, flow-descending. With Algorithm::kJoin the
+  ///     best-first traversal stops as soon as its flow upper bound drops
+  ///     below tau; both algorithms return the same set. Precondition,
+  ///     for both algorithms: tau > 0 (a NaN fails it too); a violation
+  ///     aborts on INDOORFLOW_CHECK, so callers taking tau from users
+  ///     validate the spec first (ValidateQuerySpec);
+  ///   - density (an indoorflow extension): the k POIs with the highest
+  ///     crowd density Φ(p)/area(p), "the most crowded POIs"; values are
+  ///     densities (1/m²). The join ranks by density upper bounds
+  ///     directly (subtree flow bound / min POI area).
+  ///
+  /// When IsEstimate(spec) holds (iterative flow top-k under a sampled or
+  /// adaptive spec.approx), the query evaluates a deterministic uniform
+  /// subsample of the filter-phase candidates when the mode calls for it
+  /// (see ShouldSample) and each row carries its Horvitz–Thompson
+  /// standard error and 95% interval. Every other spec evaluates exactly:
+  /// its rows are `exact`, with zero error and the exact flow bit for bit.
+  ///
+  /// `options.stats`, when non-null, accumulates operation counters for
+  /// this query. `options.profile`, when non-null, receives this query's
+  /// EXPLAIN profile (per-POI prune/evaluate verdicts, object derivation
+  /// costs, join bound trace — see src/core/query_profile.h); like
+  /// `stats`, pass a distinct one per thread. `options.control`, when
+  /// non-null, attaches a per-request deadline / cancellation token
+  /// (src/common/deadline.h): the query polls it between per-object work
+  /// items and returns early once it trips — check control->Aborted()
+  /// afterwards and discard the partial result.
   ///
   /// Thread safety: safe to call concurrently with any other const method.
-  /// Determinism: results are a pure function of the inputs — with
-  /// EngineConfig::threads > 1 the per-object work may fan across the
-  /// shared executor, but flows and rankings stay bit-identical to a
-  /// serial run (parallel map, ordered reduce). This holds for every
-  /// query method below.
-  ///
-  /// Approximation: with EngineConfig::approx.mode != kExact and
-  /// Algorithm::kIterative, this (and IntervalTopK) routes through the
-  /// estimate path and returns the estimated values; call
-  /// SnapshotTopKEstimate directly for the error bounds, or
-  /// SnapshotTopKExact to bypass the routing per call.
+  /// Determinism: results are a pure function of the inputs (sampling
+  /// included, for a fixed spec.approx.seed) — with EngineConfig::threads
+  /// > 1 the per-object work may fan across the shared executor, but flows
+  /// and rankings stay bit-identical to a serial run (parallel map,
+  /// ordered reduce).
+  std::vector<FlowEstimate> Run(const QuerySpec& spec,
+                                const QueryOptions& options = {}) const;
+
+  /// Exact flow top-k at `t` (Problem 1) and over [ts, te] (Problem 2):
+  /// Run with an exact top-k spec, rows reduced to PoiFlow.
   std::vector<PoiFlow> SnapshotTopK(
       Timestamp t, int k, Algorithm algorithm,
       const std::vector<PoiId>* subset = nullptr,
       QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
       const QueryControl* control = nullptr) const;
-
-  /// Problem 2: the k POIs with the highest interval flow over [ts, te].
-  /// Same thread-safety, determinism, and out-parameter contract as
-  /// SnapshotTopK, including the config-based approximate routing
-  /// (IntervalTopKExact bypasses it per call).
   std::vector<PoiFlow> IntervalTopK(
       Timestamp ts, Timestamp te, int k, Algorithm algorithm,
-      const std::vector<PoiId>* subset = nullptr,
-      QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
-      const QueryControl* control = nullptr) const;
-
-  /// Exact evaluation regardless of EngineConfig::approx — the per-call
-  /// escape hatch for callers that must honor an explicit exact request
-  /// on a sampled-default engine (the serving layer's approx=exact pin).
-  /// SnapshotTopK / IntervalTopK delegate here when they do not reroute,
-  /// so results, stats, and metrics are bit-identical to calling them on
-  /// an exact-config engine.
-  std::vector<PoiFlow> SnapshotTopKExact(
-      Timestamp t, int k, Algorithm algorithm,
-      const std::vector<PoiId>* subset = nullptr,
-      QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
-      const QueryControl* control = nullptr) const;
-  std::vector<PoiFlow> IntervalTopKExact(
-      Timestamp ts, Timestamp te, int k, Algorithm algorithm,
-      const std::vector<PoiId>* subset = nullptr,
-      QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
-      const QueryControl* control = nullptr) const;
-
-  /// Approximate Problem 1 / Problem 2: top-k FlowEstimates under an
-  /// explicit per-call ApproxConfig (the serving layer passes per-request
-  /// overrides; library callers usually pass config().approx). When the
-  /// config calls for sampling (see ShouldSample) the estimate carries a
-  /// standard error and 95% CI; otherwise it is exact with zero error.
-  /// Always evaluates iteratively — the join's early-termination bounds
-  /// assume the full population, so `algorithm` has no estimate analogue.
-  /// Deterministic for a fixed (config, seed, inputs); same thread-safety
-  /// and out-parameter contract as SnapshotTopK.
-  std::vector<FlowEstimate> SnapshotTopKEstimate(
-      Timestamp t, int k, const ApproxConfig& approx,
-      const std::vector<PoiId>* subset = nullptr,
-      QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
-      const QueryControl* control = nullptr) const;
-  std::vector<FlowEstimate> IntervalTopKEstimate(
-      Timestamp ts, Timestamp te, int k, const ApproxConfig& approx,
-      const std::vector<PoiId>* subset = nullptr,
-      QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
-      const QueryControl* control = nullptr) const;
-
-  /// Threshold variants (an indoorflow extension over the paper's top-k):
-  /// every query POI whose flow is at least `tau`, ordered by flow
-  /// descending. With Algorithm::kJoin the best-first traversal stops as
-  /// soon as its flow upper bound drops below tau, so selective thresholds
-  /// cost a fraction of a full scan; both algorithms return the same set.
-  /// Precondition, for both algorithms: tau > 0 (a NaN fails it too); a
-  /// violation aborts on INDOORFLOW_CHECK. Callers taking tau from users
-  /// validate it first (the CLI's --tau, for one).
-  /// Same thread-safety and determinism contract as SnapshotTopK.
-  std::vector<PoiFlow> SnapshotThreshold(
-      Timestamp t, double tau, Algorithm algorithm,
-      const std::vector<PoiId>* subset = nullptr,
-      QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
-      const QueryControl* control = nullptr) const;
-  std::vector<PoiFlow> IntervalThreshold(
-      Timestamp ts, Timestamp te, double tau, Algorithm algorithm,
       const std::vector<PoiId>* subset = nullptr,
       QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
       const QueryControl* control = nullptr) const;
@@ -206,23 +165,6 @@ class QueryEngine {
   std::vector<std::vector<PoiFlow>> SnapshotTopKBatch(
       const std::vector<Timestamp>& times, int k, Algorithm algorithm,
       const std::vector<PoiId>* subset = nullptr, int threads = 0) const;
-
-  /// Density variants (an indoorflow extension): the k POIs with the
-  /// highest crowd density Φ(p)/area(p) — "the most crowded POIs", the
-  /// size-normalized ranking the paper's introduction motivates. Returned
-  /// PoiFlow.flow values are densities (1/m²). The join ranks by density
-  /// upper bounds directly (subtree flow bound / min POI area).
-  /// Same thread-safety and determinism contract as SnapshotTopK.
-  std::vector<PoiFlow> SnapshotDensityTopK(
-      Timestamp t, int k, Algorithm algorithm,
-      const std::vector<PoiId>* subset = nullptr,
-      QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
-      const QueryControl* control = nullptr) const;
-  std::vector<PoiFlow> IntervalDensityTopK(
-      Timestamp ts, Timestamp te, int k, Algorithm algorithm,
-      const std::vector<PoiId>* subset = nullptr,
-      QueryStats* stats = nullptr, QueryProfile* profile = nullptr,
-      const QueryControl* control = nullptr) const;
 
   /// Attaches a flight recorder: every subsequent query records a summary
   /// EXPLAIN profile (no per-object costs or join trace) into `recorder`
@@ -273,17 +215,6 @@ class QueryEngine {
     }
   };
 
-  /// The body every query method shares: metrics scope (named `name`,
-  /// in the snapshot or interval family), POI selection, EXPLAIN header
-  /// and query context, then the pipeline for `shape` — EstimateQuery
-  /// under `*approx` when Result is FlowEstimate, EvaluateQuery otherwise.
-  /// Checks a threshold query's tau > 0 here, once for both algorithms.
-  template <typename Result>
-  std::vector<Result> Dispatch(const char* name, const QueryShape& shape,
-                               const std::vector<PoiId>* subset,
-                               QueryStats* stats, QueryProfile* profile,
-                               const QueryControl* control,
-                               const ApproxConfig* approx = nullptr) const;
   QueryContext MakeContext() const;
   PoiSelection SelectPois(const std::vector<PoiId>* subset) const;
   RTree BuildPoiTree(const std::vector<PoiId>& subset) const;

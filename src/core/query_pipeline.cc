@@ -85,40 +85,40 @@ std::vector<T> Picked(const std::vector<T>& items,
 // below see candidate indices only.
 class Candidates {
  public:
-  Candidates(const QueryContext& ctx, const QueryShape& shape)
-      : ctx_(ctx), shape_(shape) {
-    if (shape.interval) {
-      chains_ = CollectChains(ctx, shape.ts, shape.te);
+  Candidates(const QueryContext& ctx, const QuerySpec& spec)
+      : ctx_(ctx), spec_(spec) {
+    if (spec.interval) {
+      chains_ = CollectChains(ctx, spec.ts, spec.te);
     } else {
-      states_ = CollectStates(ctx, shape.ts);
+      states_ = CollectStates(ctx, spec.ts);
     }
   }
 
   size_t size() const {
-    return shape_.interval ? chains_.size() : states_.size();
+    return spec_.interval ? chains_.size() : states_.size();
   }
   ObjectId object(size_t i) const {
-    return shape_.interval ? chains_[i].object : states_[i].object;
+    return spec_.interval ? chains_[i].object : states_[i].object;
   }
 
   // The candidate's UR-cache entry, if any (a snapshot keys on [t, t]).
   bool Lookup(size_t i, Region* ur, UrCache::PresenceMemoPtr* memo) const {
     return ctx_.ur_cache != nullptr &&
-           ctx_.ur_cache->Lookup(object(i), kind(), shape_.ts, shape_.te, ur,
+           ctx_.ur_cache->Lookup(object(i), kind(), spec_.ts, spec_.te, ur,
                                  memo, ctx_.span);
   }
   void Insert(size_t i, const Region& ur,
               UrCache::PresenceMemoPtr* memo) const {
     if (ctx_.ur_cache == nullptr) return;
-    ctx_.ur_cache->Insert(object(i), kind(), shape_.ts, shape_.te, ur, memo);
+    ctx_.ur_cache->Insert(object(i), kind(), spec_.ts, spec_.te, ur, memo);
   }
 
   // UR(o, t) (Algorithm 1 line 11) or UR(o, [ts, te]) (Algorithm 4 line 9).
   // Safe to call concurrently: the model is const per call.
   Region Derive(size_t i) const {
-    return shape_.interval
-               ? ctx_.model->Interval(chains_[i], shape_.ts, shape_.te)
-               : ctx_.model->Snapshot(states_[i], shape_.ts);
+    return spec_.interval
+               ? ctx_.model->Interval(chains_[i], spec_.ts, spec_.te)
+               : ctx_.model->Snapshot(states_[i], spec_.ts);
   }
 
   // The candidate's R_I entry from cheap MBRs (Algorithm 2 lines 1-11,
@@ -127,19 +127,19 @@ class Candidates {
   AggregateRTree::ObjectEntry Entry(size_t i) const {
     AggregateRTree::ObjectEntry entry;
     entry.object = object(i);
-    if (shape_.interval) {
-      ctx_.model->IntervalMbrs(chains_[i], shape_.ts, shape_.te, &entry.mbr,
+    if (spec_.interval) {
+      ctx_.model->IntervalMbrs(chains_[i], spec_.ts, spec_.te, &entry.mbr,
                                ctx_.interval_sub_mbrs ? &entry.sub_mbrs
                                                       : nullptr);
     } else {
-      entry.mbr = ctx_.model->SnapshotMbr(states_[i], shape_.ts);
+      entry.mbr = ctx_.model->SnapshotMbr(states_[i], spec_.ts);
     }
     return entry;
   }
 
   // Keeps only the candidates at `picks` (ascending): the sampler's draw.
   void Keep(const std::vector<size_t>& picks) {
-    if (shape_.interval) {
+    if (spec_.interval) {
       chains_ = Picked(chains_, picks);
     } else {
       states_ = Picked(states_, picks);
@@ -148,12 +148,12 @@ class Candidates {
 
  private:
   UrCache::Kind kind() const {
-    return shape_.interval ? UrCache::Kind::kInterval
+    return spec_.interval ? UrCache::Kind::kInterval
                            : UrCache::Kind::kSnapshot;
   }
 
   const QueryContext& ctx_;
-  const QueryShape shape_;
+  const QuerySpec spec_;
   std::vector<SnapshotState> states_;
   std::vector<IntervalChain> chains_;
 };
@@ -349,22 +349,22 @@ void AccumulateFlows(const QueryContext& ctx, const RTree& poi_tree,
 
 // Ranks or filters the accumulated flows by the query's objective; timed
 // as the top-k phase.
-std::vector<PoiFlow> Finish(const QueryContext& ctx, const QueryShape& shape,
+std::vector<PoiFlow> Finish(const QueryContext& ctx, const QuerySpec& spec,
                             const Flows& flows) {
   std::vector<PoiFlow> all;
   all.reserve(flows.size());
   for (const auto& [id, flow] : flows) all.push_back(PoiFlow{id, flow});
   const int64_t topk_start = ctx.stats != nullptr ? MonotonicNowNs() : 0;
-  if (shape.objective == Objective::kDensity) {
+  if (spec.objective == Objective::kDensity) {
     for (PoiFlow& f : all) {
       const double area = (*ctx.poi_areas)[static_cast<size_t>(f.poi)];
       f.flow = area > 0.0 ? f.flow / area : 0.0;
     }
   }
   std::vector<PoiFlow> result =
-      shape.objective == Objective::kThreshold
-          ? FlowsAtLeast(std::move(all), shape.tau)
-          : TopK(std::move(all), shape.k);
+      spec.objective == Objective::kThreshold
+          ? FlowsAtLeast(std::move(all), spec.tau)
+          : TopK(std::move(all), spec.k);
   if (ctx.stats != nullptr) {
     ctx.stats->topk_ns += MonotonicNowNs() - topk_start;
   }
@@ -375,8 +375,8 @@ std::vector<PoiFlow> Finish(const QueryContext& ctx, const QueryShape& shape,
 
 std::vector<PoiFlow> RunJoin(const QueryContext& ctx, const RTree& poi_tree,
                              const std::vector<PoiId>& ids,
-                             const QueryShape& shape) {
-  const Candidates candidates(ctx, shape);
+                             const QuerySpec& spec) {
+  const Candidates candidates(ctx, spec);
   // Everything after the retriever is join work; the derive/presence time
   // booked during the traversal is subtracted at the end so topk_ns covers
   // only the R_I build plus the priority traversal itself.
@@ -401,11 +401,11 @@ std::vector<PoiFlow> RunJoin(const QueryContext& ctx, const RTree& poi_tree,
   // so later leaves reuse it without consulting the cross-query cache.
   std::vector<std::optional<ObjectUr>> hu(slot_candidates.size());
 
-  PriorityJoinSpec spec;
-  spec.poi_tree = &poi_tree;
-  spec.objects = &agg;
-  spec.poi_areas = ctx.poi_areas;
-  spec.leaf_presences = [&](const std::vector<int32_t>& slots, PoiId poi,
+  PriorityJoinSpec join;
+  join.poi_tree = &poi_tree;
+  join.objects = &agg;
+  join.poi_areas = ctx.poi_areas;
+  join.leaf_presences = [&](const std::vector<int32_t>& slots, PoiId poi,
                             std::vector<double>* out) {
     // Timed per leaf; the derive time booked inside is subtracted.
     const int64_t leaf_start = stats != nullptr ? MonotonicNowNs() : 0;
@@ -434,15 +434,15 @@ std::vector<PoiFlow> RunJoin(const QueryContext& ctx, const RTree& poi_tree,
       stats->presence_ns += span > derived ? span - derived : 0;
     }
   };
-  spec.stats = stats;
-  spec.profile = ctx.profile;
-  spec.area_bounds = ctx.join_area_bounds;
-  spec.control = ctx.control;
-  spec.density = shape.objective == Objective::kDensity;
+  join.stats = stats;
+  join.profile = ctx.profile;
+  join.area_bounds = ctx.join_area_bounds;
+  join.control = ctx.control;
+  join.density = spec.objective == Objective::kDensity;
   std::vector<PoiFlow> result =
-      shape.objective == Objective::kThreshold
-          ? PriorityJoinThreshold(spec, shape.tau)
-          : PriorityJoinTopK(spec, shape.k, ids);
+      spec.objective == Objective::kThreshold
+          ? PriorityJoinThreshold(join, spec.tau)
+          : PriorityJoinTopK(join, spec.k, ids);
   if (stats != nullptr) {
     const int64_t span = MonotonicNowNs() - join_start;
     const int64_t inner = (stats->derive_ns - derive_before) +
@@ -454,31 +454,53 @@ std::vector<PoiFlow> RunJoin(const QueryContext& ctx, const RTree& poi_tree,
 
 }  // namespace
 
+bool IsEstimate(const QuerySpec& spec) {
+  return spec.approx.mode != ApproxMode::kExact &&
+         spec.algorithm == Algorithm::kIterative &&
+         spec.objective == Objective::kTopK;
+}
+
+Status ValidateQuerySpec(const QuerySpec& spec) {
+  if (!(spec.te >= spec.ts)) {
+    return Status::InvalidArgument("te must be >= ts");
+  }
+  if (spec.objective == Objective::kThreshold) {
+    if (!(spec.tau > 0.0)) return Status::InvalidArgument("tau must be > 0");
+  } else if (spec.k < 1 || spec.k > 1000000) {
+    return Status::InvalidArgument("k must be in [1, 1000000]");
+  }
+  if (spec.approx.mode != ApproxMode::kExact &&
+      spec.approx.sample_budget < 2) {
+    return Status::InvalidArgument("sample_budget must be >= 2");
+  }
+  return Status::OK();
+}
+
 std::vector<PoiFlow> EvaluateQuery(const QueryContext& ctx,
                                    const RTree& poi_tree,
                                    const std::vector<PoiId>& ids,
-                                   const QueryShape& shape) {
-  if (shape.algorithm == Algorithm::kJoin) {
-    return RunJoin(ctx, poi_tree, ids, shape);
+                                   const QuerySpec& spec) {
+  if (spec.algorithm == Algorithm::kJoin) {
+    return RunJoin(ctx, poi_tree, ids, spec);
   }
   if (ctx.stats != nullptr) {
     ctx.stats->pois_evaluated += static_cast<int64_t>(ids.size());
   }
-  const Candidates candidates(ctx, shape);
+  const Candidates candidates(ctx, spec);
   Flows flows = ZeroFlows(ids);
   AccumulateFlows(ctx, poi_tree, candidates, &flows, nullptr);
-  return Finish(ctx, shape, flows);
+  return Finish(ctx, spec, flows);
 }
 
 std::vector<FlowEstimate> EstimateQuery(const QueryContext& ctx,
                                         const RTree& poi_tree,
                                         const std::vector<PoiId>& ids,
-                                        const QueryShape& shape,
-                                        const ApproxConfig& approx) {
+                                        const QuerySpec& spec) {
+  const ApproxConfig& approx = spec.approx;
   if (ctx.stats != nullptr) {
     ctx.stats->pois_evaluated += static_cast<int64_t>(ids.size());
   }
-  Candidates candidates(ctx, shape);
+  Candidates candidates(ctx, spec);
   const size_t population = candidates.size();
   const bool sample = ShouldSample(approx, population);
   Flows flows = ZeroFlows(ids);
@@ -489,8 +511,8 @@ std::vector<FlowEstimate> EstimateQuery(const QueryContext& ctx,
     // included, just over fewer objects.
     candidates.Keep(SampleIndices(population,
                                   static_cast<size_t>(approx.sample_budget),
-                                  MixSampleSeed(approx.seed, shape.ts,
-                                                shape.te)));
+                                  MixSampleSeed(approx.seed, spec.ts,
+                                                spec.te)));
     flows_sq = ZeroFlows(ids);
   }
   AccumulateFlows(ctx, poi_tree, candidates, &flows,
@@ -518,7 +540,7 @@ std::vector<FlowEstimate> EstimateQuery(const QueryContext& ctx,
 
   const int64_t topk_start = ctx.stats != nullptr ? MonotonicNowNs() : 0;
   std::vector<FlowEstimate> result =
-      TopKEstimates(std::move(estimates), shape.k);
+      TopKEstimates(std::move(estimates), spec.k);
   if (ctx.stats != nullptr) {
     ctx.stats->topk_ns += MonotonicNowNs() - topk_start;
   }

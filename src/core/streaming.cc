@@ -371,15 +371,6 @@ bool StreamingMonitor::RecomputeShardTallyLocked(
 
 std::vector<PoiFlow> StreamingMonitor::CurrentTopK(
     Timestamp t, int k, const QueryControl* control) const {
-  if (options_.approx.mode != ApproxMode::kExact) {
-    return EstimatesToFlows(
-        CurrentTopKEstimate(t, k, options_.approx, control));
-  }
-  return ExactCurrentTopK(t, k, control);
-}
-
-std::vector<PoiFlow> StreamingMonitor::ExactCurrentTopK(
-    Timestamp t, int k, const QueryControl* control) const {
   StreamingMetrics& metrics = GetStreamingMetrics();
   ScopedTimer timer(&metrics.topk_latency_us);
   const size_t n = shards_.size();
@@ -470,6 +461,10 @@ std::vector<PoiFlow> StreamingMonitor::ExactCurrentTopK(
 std::vector<FlowEstimate> StreamingMonitor::CurrentTopKEstimate(
     Timestamp t, int k, const ApproxConfig& approx,
     const QueryControl* control) const {
+  // Exact mode never samples, so it needs no population pass.
+  if (approx.mode == ApproxMode::kExact) {
+    return ExactEstimates(CurrentTopK(t, k, control));
+  }
   // Pass A (serial, one shard lock at a time): evict and enumerate the
   // live track population. Ids are unique across shards, so the sorted
   // (object, shard) list is the same canonical ascending-id order the
@@ -493,7 +488,7 @@ std::vector<FlowEstimate> StreamingMonitor::CurrentTopKEstimate(
             });
   const size_t population = refs.size();
   if (!ShouldSample(approx, population)) {
-    return ExactEstimates(ExactCurrentTopK(t, k, control));
+    return ExactEstimates(CurrentTopK(t, k, control));
   }
 
   StreamingMetrics& metrics = GetStreamingMetrics();

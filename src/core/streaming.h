@@ -109,12 +109,6 @@ struct StreamingOptions {
   /// LiveRegion polls at an unchanged timestamp hit the cache instead of
   /// re-deriving every track.
   UrCacheConfig ur_cache;
-  /// Approximate CurrentTopK (src/core/approx.h, docs/APPROXIMATION.md).
-  /// The default kExact keeps the incremental sharded path bit-identical
-  /// to today; kSampled / kAdaptive make CurrentTopK rank by
-  /// Horvitz–Thompson estimates over a deterministic subsample of the live
-  /// tracks (call CurrentTopKEstimate directly for the error bounds).
-  ApproxConfig approx;
 };
 
 class StreamingMonitor {
@@ -157,37 +151,29 @@ class StreamingMonitor {
 
   size_t shard_count() const { return shards_.size(); }
 
-  /// Top-k POIs by live flow at time `t` (>= now(); typically "now").
-  /// Reuses each clean shard's cached tally and recomputes only dirty
-  /// shards, fanned across the shared executor. When `control` is non-null
-  /// it is polled per object; once it trips, the (partial) result must be
-  /// discarded by the caller — `control->Aborted()` reports the fact —
-  /// and no half-computed tally is published.
+  /// Exact top-k POIs by live flow at time `t` (>= now(); typically
+  /// "now"). Reuses each clean shard's cached tally and recomputes only
+  /// dirty shards, fanned across the shared executor. When `control` is
+  /// non-null it is polled per object; once it trips, the (partial)
+  /// result must be discarded by the caller — `control->Aborted()` reports
+  /// the fact — and no half-computed tally is published.
   std::vector<PoiFlow> CurrentTopK(Timestamp t, int k,
                                    const QueryControl* control = nullptr)
       const;
 
-  /// Approximate CurrentTopK under an explicit per-call ApproxConfig: when
-  /// the config calls for sampling over the live track population (see
-  /// ShouldSample), evaluates a deterministic uniform subsample of the
-  /// tracks and returns Horvitz–Thompson top-k estimates with error
-  /// bounds; otherwise runs the exact incremental path and wraps its
-  /// result. The sampled path derives regions fresh per call (it neither
-  /// consults nor publishes the per-shard tallies — a sampled tally would
-  /// poison exact reuse), so its win is evaluating budget-many tracks
-  /// instead of all of them. Same abandonment contract as CurrentTopK.
+  /// CurrentTopK under the per-call evaluation mode `approx`
+  /// (src/core/approx.h, docs/APPROXIMATION.md): when it calls for
+  /// sampling over the live track population (see ShouldSample),
+  /// evaluates a deterministic uniform subsample of the tracks and returns
+  /// Horvitz–Thompson top-k estimates with error bounds; otherwise runs
+  /// CurrentTopK and wraps its result as exact rows. The sampled path
+  /// derives regions fresh per call (it neither consults nor publishes the
+  /// per-shard tallies — a sampled tally would poison exact reuse), so its
+  /// win is evaluating budget-many tracks instead of all of them. Same
+  /// abandonment contract as CurrentTopK.
   std::vector<FlowEstimate> CurrentTopKEstimate(
       Timestamp t, int k, const ApproxConfig& approx,
       const QueryControl* control = nullptr) const;
-
-  /// The exact incremental top-k (CurrentTopK's pre-approximation body),
-  /// regardless of StreamingOptions::approx. CurrentTopK routes here when
-  /// options_.approx stays exact, CurrentTopKEstimate falls back here when
-  /// it decides not to sample, and the serving layer calls it directly so
-  /// a per-request approx=exact pin cannot be re-routed by a
-  /// sampled-default monitor.
-  std::vector<PoiFlow> ExactCurrentTopK(
-      Timestamp t, int k, const QueryControl* control = nullptr) const;
 
   /// The live uncertainty region of one object at `t` (empty when unknown,
   /// expired, before the object's first reading, or when `control` has

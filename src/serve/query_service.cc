@@ -1,8 +1,10 @@
 #include "src/serve/query_service.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -145,19 +147,14 @@ enum class QueryKind { kSnapshot, kInterval, kLive };
 // One fully validated /query/* request, defaults and clamps applied.
 struct ParsedQuery {
   QueryKind kind = QueryKind::kSnapshot;
-  Timestamp t = 0.0;
   /// Live queries: whether the client named `t` (when not, the stream
   /// clock at evaluation time is substituted and echoed back).
   bool has_t = false;
-  Timestamp ts = 0.0;
-  Timestamp te = 0.0;
-  int k = 0;
-  Algorithm algorithm = Algorithm::kJoin;
-  bool density = false;
-  int64_t deadline_ms = 0;
-  /// Effective evaluation mode: the service default, overridden by the
+  /// The query itself; live queries use its t (= ts = te), k and approx.
+  /// The evaluation mode is the service default, overridden by the
   /// request's `approx=` / `sample_budget=` when present.
-  ApproxConfig approx;
+  QuerySpec spec{.algorithm = Algorithm::kJoin};
+  int64_t deadline_ms = 0;
   /// Whether the client named `approx=` itself — an explicit approx=exact
   /// is never downgraded under pressure.
   bool approx_requested = false;
@@ -165,13 +162,13 @@ struct ParsedQuery {
   bool degraded = false;
 };
 
-/// Whether this query shape has a sampled evaluation path: iterative
-/// flow top-k and live continuous top-k. Join stays exact (its
-/// early-termination bounds assume the full population) and density stays
-/// exact (the area division amplifies sampling noise).
-bool Sampleable(const ParsedQuery& query) {
-  if (query.kind == QueryKind::kLive) return true;
-  return query.algorithm == Algorithm::kIterative && !query.density;
+/// Whether the query answers with estimates: live continuous top-k under
+/// a non-exact mode, or a spec the engine samples (IsEstimate). Join and
+/// density queries stay exact whatever the mode.
+bool Approximate(const ParsedQuery& query) {
+  return query.kind == QueryKind::kLive
+             ? query.spec.approx.mode != ApproxMode::kExact
+             : IsEstimate(query.spec);
 }
 
 Status ParseQuery(const HttpRequest& request,
@@ -191,13 +188,13 @@ Status ParseQuery(const HttpRequest& request,
                                      "sample_budget"}));
 
   const bool is_join_endpoint = request.path == "/query/join";
+  QuerySpec& spec = out->spec;
   bool found = false;
   if (is_live_endpoint) {
     out->kind = QueryKind::kLive;
-    INDOORFLOW_RETURN_IF_ERROR(
-        params.GetDouble("t", &out->t, &out->has_t));
+    INDOORFLOW_RETURN_IF_ERROR(params.GetDouble("t", &spec.ts, &out->has_t));
   } else if (request.path == "/query/snapshot" || is_join_endpoint) {
-    INDOORFLOW_RETURN_IF_ERROR(params.GetDouble("t", &out->t, &found));
+    INDOORFLOW_RETURN_IF_ERROR(params.GetDouble("t", &spec.ts, &found));
   }
   if (found) {
     out->kind = QueryKind::kSnapshot;
@@ -206,43 +203,39 @@ Status ParseQuery(const HttpRequest& request,
     }
   } else if (request.path == "/query/interval" || is_join_endpoint) {
     out->kind = QueryKind::kInterval;
+    spec.interval = true;
     bool found_ts = false;
     bool found_te = false;
-    INDOORFLOW_RETURN_IF_ERROR(
-        params.GetDouble("ts", &out->ts, &found_ts));
-    INDOORFLOW_RETURN_IF_ERROR(
-        params.GetDouble("te", &out->te, &found_te));
+    INDOORFLOW_RETURN_IF_ERROR(params.GetDouble("ts", &spec.ts, &found_ts));
+    INDOORFLOW_RETURN_IF_ERROR(params.GetDouble("te", &spec.te, &found_te));
     if (!found_ts || !found_te) {
       return Status::InvalidArgument(
           is_join_endpoint ? "missing parameter: t (or ts and te)"
                            : "missing parameter: ts and te are required");
     }
-    if (out->te < out->ts) {
-      return Status::InvalidArgument("te must be >= ts");
-    }
   } else if (!is_live_endpoint) {
     return Status::InvalidArgument("missing parameter: t is required");
   }
+  if (!spec.interval) spec.te = spec.ts;
 
   int64_t k = options.default_k;
   INDOORFLOW_RETURN_IF_ERROR(params.GetInt("k", &k, &found));
-  if (k <= 0 || k > 1000000) {
-    return Status::InvalidArgument("k must be in [1, 1000000]");
-  }
-  out->k = static_cast<int>(k);
+  // Out-of-int values clamp into ValidateQuerySpec's rejected range.
+  spec.k = static_cast<int>(
+      std::clamp<int64_t>(k, 0, std::numeric_limits<int>::max()));
 
   if (!is_live_endpoint) {
     std::string algo = "join";
     INDOORFLOW_RETURN_IF_ERROR(params.GetString("algo", &algo, &found));
     if (algo == "join") {
-      out->algorithm = Algorithm::kJoin;
+      spec.algorithm = Algorithm::kJoin;
     } else if (algo == "iterative") {
       if (is_join_endpoint) {
         return Status::InvalidArgument(
             "/query/join always runs algo=join; use /query/snapshot or "
             "/query/interval for algo=iterative");
       }
-      out->algorithm = Algorithm::kIterative;
+      spec.algorithm = Algorithm::kIterative;
     } else {
       return Status::InvalidArgument("algo must be 'join' or 'iterative'");
     }
@@ -250,11 +243,9 @@ Status ParseQuery(const HttpRequest& request,
     std::string metric = "flow";
     INDOORFLOW_RETURN_IF_ERROR(
         params.GetString("metric", &metric, &found));
-    if (metric == "flow") {
-      out->density = false;
-    } else if (metric == "density") {
-      out->density = true;
-    } else {
+    if (metric == "density") {
+      spec.objective = Objective::kDensity;
+    } else if (metric != "flow") {
       return Status::InvalidArgument("metric must be 'flow' or 'density'");
     }
   }
@@ -263,34 +254,26 @@ Status ParseQuery(const HttpRequest& request,
   // overridable per request. A request naming approx=sampled|adaptive for
   // a shape with no sampled path is a 400, not a silent exact answer; a
   // service-wide sampled default simply doesn't apply to such shapes.
-  out->approx = options.approx;
+  spec.approx = options.approx;
   std::string approx_name;
   INDOORFLOW_RETURN_IF_ERROR(
       params.GetString("approx", &approx_name, &found));
   if (found) {
     out->approx_requested = true;
-    if (!ApproxModeFromName(approx_name, &out->approx.mode)) {
+    if (!ApproxModeFromName(approx_name, &spec.approx.mode)) {
       return Status::InvalidArgument(
           "approx must be 'exact', 'sampled', or 'adaptive'");
     }
   }
-  int64_t sample_budget = 0;
-  INDOORFLOW_RETURN_IF_ERROR(
-      params.GetInt("sample_budget", &sample_budget, &found));
-  if (found) {
-    // A single-draw sample has no within-sample variance, so its error
-    // would be undefined; require at least two draws up front.
-    if (sample_budget < 2) {
-      return Status::InvalidArgument("sample_budget must be >= 2");
-    }
-    out->approx.sample_budget = sample_budget;
-  }
-  if (out->approx_requested && out->approx.mode != ApproxMode::kExact &&
-      !Sampleable(*out)) {
+  INDOORFLOW_RETURN_IF_ERROR(params.GetInt(
+      "sample_budget", &spec.approx.sample_budget, &found));
+  if (out->approx_requested && spec.approx.mode != ApproxMode::kExact &&
+      !Approximate(*out)) {
     return Status::InvalidArgument(
         "approx=sampled|adaptive requires algo=iterative and metric=flow "
         "(join and density queries always evaluate exactly)");
   }
+  INDOORFLOW_RETURN_IF_ERROR(ValidateQuerySpec(spec));
 
   int64_t deadline_ms = options.default_deadline_ms;
   INDOORFLOW_RETURN_IF_ERROR(
@@ -308,32 +291,34 @@ Status ParseQuery(const HttpRequest& request,
 // The request-echo half of every response body: what ran, under what
 // deadline, for correlating responses with client-side settings.
 void AppendQueryEcho(const ParsedQuery& query, std::string* body) {
+  const QuerySpec& spec = query.spec;
   if (query.kind == QueryKind::kInterval) {
-    body->append(",\"ts\":" + NumberJson(query.ts) +
-                 ",\"te\":" + NumberJson(query.te));
+    body->append(",\"ts\":" + NumberJson(spec.ts) +
+                 ",\"te\":" + NumberJson(spec.te));
   } else {
     // Snapshot and live both echo one timestamp — for live it is the
     // stream-clock default when the client named none.
-    body->append(",\"t\":" + NumberJson(query.t));
+    body->append(",\"t\":" + NumberJson(spec.ts));
   }
-  body->append(",\"k\":" + std::to_string(query.k));
+  body->append(",\"k\":" + std::to_string(spec.k));
   if (query.kind == QueryKind::kLive) {
     body->append(",\"live\":true");
   } else {
-    body->append(query.algorithm == Algorithm::kJoin
+    body->append(spec.algorithm == Algorithm::kJoin
                      ? ",\"algo\":\"join\""
                      : ",\"algo\":\"iterative\"");
-    body->append(query.density ? ",\"metric\":\"density\""
-                               : ",\"metric\":\"flow\"");
+    body->append(spec.objective == Objective::kDensity
+                     ? ",\"metric\":\"density\""
+                     : ",\"metric\":\"flow\"");
   }
   body->append(",\"deadline_ms\":" + std::to_string(query.deadline_ms));
   // Approximation is only echoed when it can actually apply, so exact
   // responses keep their pre-approximation shape byte for byte.
-  if (query.approx.mode != ApproxMode::kExact && Sampleable(query)) {
+  if (Approximate(query)) {
     body->append(",\"approx\":\"" +
-                 std::string(ApproxModeName(query.approx.mode)) + "\"");
+                 std::string(ApproxModeName(spec.approx.mode)) + "\"");
     body->append(",\"sample_budget\":" +
-                 std::to_string(query.approx.sample_budget));
+                 std::to_string(spec.approx.sample_budget));
     if (query.degraded) body->append(",\"degraded\":true");
   }
 }
@@ -591,15 +576,19 @@ HttpResponse QueryService::EvaluateTraced(const HttpRequest& request,
 
   // Degraded mode: under queue pressure an exact sampleable query runs
   // sampled instead — a bounded-error answer instead of a 503 later in
-  // the overload curve. A client that pinned approx=exact keeps exact.
-  if (degrade && query.approx.mode == ApproxMode::kExact &&
-      !query.approx_requested && Sampleable(query)) {
-    query.approx.mode = ApproxMode::kSampled;
-    query.degraded = true;
-    degraded_.Add();
+  // the overload curve. A client that pinned approx=exact keeps exact, and
+  // a spec that would not validate sampled (a budget below 2) stays exact.
+  if (degrade && query.spec.approx.mode == ApproxMode::kExact &&
+      !query.approx_requested) {
+    query.spec.approx.mode = ApproxMode::kSampled;
+    query.degraded = Approximate(query) && ValidateQuerySpec(query.spec).ok();
+    if (query.degraded) {
+      degraded_.Add();
+    } else {
+      query.spec.approx.mode = ApproxMode::kExact;
+    }
   }
-  const bool approximate =
-      query.approx.mode != ApproxMode::kExact && Sampleable(query);
+  const bool approximate = Approximate(query);
 
   if (query.kind == QueryKind::kLive) {
     if (monitor_ == nullptr) {
@@ -612,7 +601,7 @@ HttpResponse QueryService::EvaluateTraced(const HttpRequest& request,
     }
     // Resolve the stream-clock default before the deadline check so even
     // a 504 echoes the timestamp the query would have run at.
-    if (!query.has_t) query.t = monitor_->now();
+    if (!query.has_t) query.spec.ts = query.spec.te = monitor_->now();
   }
 
   // The deadline is anchored at *arrival*: time spent queued counts
@@ -622,61 +611,18 @@ HttpResponse QueryService::EvaluateTraced(const HttpRequest& request,
       Deadline::AtNanos(arrival_ns + query.deadline_ms * 1'000'000);
   QueryControl control(deadline);
   control.set_span(root);
-  std::vector<PoiFlow> results;
-  std::vector<FlowEstimate> estimates;
+  std::vector<FlowEstimate> rows;
   QueryStats stats;
   if (!control.ShouldAbort()) {
-    if (approximate) {
-      switch (query.kind) {
-        case QueryKind::kSnapshot:
-          estimates = engine_->SnapshotTopKEstimate(query.t, query.k,
-                                                    query.approx, nullptr,
-                                                    &stats, nullptr,
-                                                    &control);
-          break;
-        case QueryKind::kInterval:
-          estimates = engine_->IntervalTopKEstimate(query.ts, query.te,
-                                                    query.k, query.approx,
-                                                    nullptr, &stats, nullptr,
-                                                    &control);
-          break;
-        case QueryKind::kLive:
-          estimates =
-              monitor_->CurrentTopKEstimate(query.t, query.k, query.approx,
-                                            &control);
-          break;
-      }
+    // The spec carries its own mode, so an approx=exact pin stays exact
+    // on a sampled-default server.
+    if (query.kind == QueryKind::kLive) {
+      // The monitor has its own stats surface (streaming.* metrics);
+      // outcome->stats stays zeroed, like a shed request's.
+      rows = monitor_->CurrentTopKEstimate(query.spec.ts, query.spec.k,
+                                           query.spec.approx, &control);
     } else {
-      // The *Exact entrypoints bypass the engine's and monitor's
-      // config-based approximate routing: on a sampled-default server a
-      // pinned approx=exact must stay exact, not silently re-route to
-      // estimates wearing the exact response shape.
-      switch (query.kind) {
-        case QueryKind::kSnapshot:
-          results = query.density
-                        ? engine_->SnapshotDensityTopK(
-                              query.t, query.k, query.algorithm, nullptr,
-                              &stats, nullptr, &control)
-                        : engine_->SnapshotTopKExact(query.t, query.k,
-                                                     query.algorithm,
-                                                     nullptr, &stats,
-                                                     nullptr, &control);
-          break;
-        case QueryKind::kInterval:
-          results = query.density
-                        ? engine_->IntervalDensityTopK(
-                              query.ts, query.te, query.k, query.algorithm,
-                              nullptr, &stats, nullptr, &control)
-                        : engine_->IntervalTopKExact(
-                              query.ts, query.te, query.k, query.algorithm,
-                              nullptr, &stats, nullptr, &control);
-          break;
-        case QueryKind::kLive:
-          // The monitor has its own stats surface (streaming.* metrics);
-          // outcome->stats stays zeroed, like a shed request's.
-          results = monitor_->ExactCurrentTopK(query.t, query.k, &control);
-          break;
-      }
+      rows = engine_->Run(query.spec, {&stats, nullptr, &control});
     }
   }
   outcome->stats = stats;
@@ -698,45 +644,32 @@ HttpResponse QueryService::EvaluateTraced(const HttpRequest& request,
       NumberJson(static_cast<double>(MonotonicNowNs() - arrival_ns) /
                  1e6));
   response.body.append(",\"results\":[");
-  if (approximate) {
-    // Estimated rows carry the approximation contract: the flow value is
-    // an unbiased estimate with its standard error and 95% interval, and
-    // `exact` marks rows the sampler actually evaluated in full.
-    for (size_t i = 0; i < estimates.size(); ++i) {
-      if (i > 0) response.body.push_back(',');
-      const FlowEstimate& est = estimates[i];
-      response.body.append("{\"poi\":" + std::to_string(est.poi));
-      if (est.poi >= 0 && static_cast<size_t>(est.poi) < pois.size()) {
-        response.body.append(
-            ",\"name\":\"" +
-            JsonEscape(pois[static_cast<size_t>(est.poi)].name) + "\"");
-      }
-      response.body.append(",\"flow\":" + NumberJson(est.value));
-      response.body.append(est.exact ? ",\"exact\":true"
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0) response.body.push_back(',');
+    const FlowEstimate& row = rows[i];
+    response.body.append("{\"poi\":" + std::to_string(row.poi));
+    if (row.poi >= 0 && static_cast<size_t>(row.poi) < pois.size()) {
+      response.body.append(
+          ",\"name\":\"" +
+          JsonEscape(pois[static_cast<size_t>(row.poi)].name) + "\"");
+    }
+    response.body.append(",\"flow\":" + NumberJson(row.value));
+    if (approximate) {
+      // Estimated rows carry the approximation contract: the flow value
+      // is an unbiased estimate with its standard error and 95% interval,
+      // and `exact` marks rows the sampler actually evaluated in full.
+      response.body.append(row.exact ? ",\"exact\":true"
                                      : ",\"exact\":false");
-      if (!est.exact && std::isfinite(est.std_err)) {
+      if (!row.exact && std::isfinite(row.std_err)) {
         // A NaN std_err marks a degenerate (sub-two-sample) estimate whose
         // error is undefined; omit the fields rather than render NaN as 0
         // and dress a maximally uncertain answer up as a confident one.
-        response.body.append(",\"stderr\":" + NumberJson(est.std_err));
-        response.body.append(",\"ci95\":[" + NumberJson(est.ci_low) + "," +
-                             NumberJson(est.ci_high) + "]");
+        response.body.append(",\"stderr\":" + NumberJson(row.std_err));
+        response.body.append(",\"ci95\":[" + NumberJson(row.ci_low) + "," +
+                             NumberJson(row.ci_high) + "]");
       }
-      response.body.push_back('}');
     }
-  } else {
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (i > 0) response.body.push_back(',');
-      const PoiFlow& flow = results[i];
-      response.body.append("{\"poi\":" + std::to_string(flow.poi));
-      if (flow.poi >= 0 && static_cast<size_t>(flow.poi) < pois.size()) {
-        response.body.append(",\"name\":\"" +
-                             JsonEscape(pois[static_cast<size_t>(flow.poi)]
-                                            .name) +
-                             "\"");
-      }
-      response.body.append(",\"flow\":" + NumberJson(flow.flow) + "}");
-    }
+    response.body.push_back('}');
   }
   response.body.append("]}\n");
   return response;

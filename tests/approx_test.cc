@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -170,10 +171,9 @@ class ApproxEngineFixture : public ::testing::Test {
     dataset_ = GenerateOfficeDataset(config);
   }
 
-  QueryEngine MakeEngine(const ApproxConfig& approx) const {
+  QueryEngine MakeEngine() const {
     EngineConfig config;
     config.vmax = dataset_.vmax;
-    config.approx = approx;
     return QueryEngine(dataset_, config);
   }
 
@@ -197,10 +197,10 @@ void ExpectSameFlows(const std::vector<PoiFlow>& a,
 }
 
 TEST_F(ApproxEngineFixture, ExactModeIsBitIdenticalAcrossQueryMethods) {
-  const QueryEngine plain = MakeEngine(ApproxConfig{});
+  const QueryEngine plain = MakeEngine();
   ApproxConfig exact;
   exact.mode = ApproxMode::kExact;
-  const QueryEngine configured = MakeEngine(exact);
+  const QueryEngine configured = MakeEngine();
 
   for (const Algorithm algo : {Algorithm::kIterative, Algorithm::kJoin}) {
     ExpectSameFlows(plain.SnapshotTopK(t_, AllPois(), algo),
@@ -213,8 +213,8 @@ TEST_F(ApproxEngineFixture, ExactModeIsBitIdenticalAcrossQueryMethods) {
   // exact with collapsed intervals.
   const auto reference = plain.SnapshotTopK(t_, AllPois(),
                                             Algorithm::kIterative);
-  const auto estimates = configured.SnapshotTopKEstimate(t_, AllPois(),
-                                                         exact);
+  const auto estimates =
+      configured.Run({.ts = t_, .te = t_, .k = AllPois(), .approx = exact});
   ExpectSameFlows(reference, EstimatesToFlows(estimates));
   for (const FlowEstimate& est : estimates) {
     EXPECT_TRUE(est.exact);
@@ -222,18 +222,22 @@ TEST_F(ApproxEngineFixture, ExactModeIsBitIdenticalAcrossQueryMethods) {
   }
   ExpectSameFlows(
       plain.IntervalTopK(ts_, te_, AllPois(), Algorithm::kIterative),
-      EstimatesToFlows(
-          configured.IntervalTopKEstimate(ts_, te_, AllPois(), exact)));
+      EstimatesToFlows(configured.Run({.interval = true,
+                                       .ts = ts_,
+                                       .te = te_,
+                                       .k = AllPois(),
+                                       .approx = exact})));
 }
 
 TEST_F(ApproxEngineFixture, SampledModeIsDeterministicPerSeed) {
   ApproxConfig sampled;
   sampled.mode = ApproxMode::kSampled;
   sampled.sample_budget = 16;
-  const QueryEngine engine = MakeEngine(sampled);
+  const QueryEngine engine = MakeEngine();
 
-  const auto first = engine.SnapshotTopKEstimate(t_, AllPois(), sampled);
-  const auto second = engine.SnapshotTopKEstimate(t_, AllPois(), sampled);
+  const QuerySpec spec{.ts = t_, .te = t_, .k = AllPois(), .approx = sampled};
+  const auto first = engine.Run(spec);
+  const auto second = engine.Run(spec);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].poi, second[i].poi);
@@ -243,7 +247,8 @@ TEST_F(ApproxEngineFixture, SampledModeIsDeterministicPerSeed) {
 
   ApproxConfig reseeded = sampled;
   reseeded.seed = sampled.seed + 1;
-  const auto other = engine.SnapshotTopKEstimate(t_, AllPois(), reseeded);
+  const auto other = engine.Run(
+      {.ts = t_, .te = t_, .k = AllPois(), .approx = reseeded});
   bool any_difference = false;
   for (size_t i = 0; i < first.size() && i < other.size(); ++i) {
     any_difference = any_difference || first[i].poi != other[i].poi ||
@@ -252,58 +257,81 @@ TEST_F(ApproxEngineFixture, SampledModeIsDeterministicPerSeed) {
   EXPECT_TRUE(any_difference) << "a new seed should draw a new sample";
 }
 
-TEST_F(ApproxEngineFixture, EngineRoutingMatchesExplicitEstimateCalls) {
+TEST_F(ApproxEngineFixture, RunSamplesOnlyIterativeFlowTopK) {
+  // Join, threshold and density specs never sample: under a sampled mode
+  // Run returns the exact spec's rows and work counters bit for bit, and
+  // every row is exact (the join's bounds assume every object is present).
   ApproxConfig sampled;
   sampled.mode = ApproxMode::kSampled;
   sampled.sample_budget = 16;
-  const QueryEngine engine = MakeEngine(sampled);
+  const QueryEngine engine = MakeEngine();
 
-  // SnapshotTopK/IntervalTopK on a sampled-config engine route iterative
-  // queries through the estimator; the values must match the explicit
-  // estimate API exactly.
-  ExpectSameFlows(
-      engine.SnapshotTopK(t_, AllPois(), Algorithm::kIterative),
-      EstimatesToFlows(engine.SnapshotTopKEstimate(t_, AllPois(), sampled)));
-  ExpectSameFlows(
-      engine.IntervalTopK(ts_, te_, AllPois(), Algorithm::kIterative),
-      EstimatesToFlows(
-          engine.IntervalTopKEstimate(ts_, te_, AllPois(), sampled)));
-
-  // The join algorithm never samples, whatever the config says.
-  const QueryEngine plain = MakeEngine(ApproxConfig{});
-  ExpectSameFlows(engine.SnapshotTopK(t_, AllPois(), Algorithm::kJoin),
-                  plain.SnapshotTopK(t_, AllPois(), Algorithm::kJoin));
-}
-
-TEST_F(ApproxEngineFixture, ExactEntrypointsBypassSampledConfig) {
-  // The *Exact entrypoints are the per-call escape hatch from the
-  // config-based routing: on a sampled-config engine they must stay
-  // bit-identical to an exact-config engine's SnapshotTopK/IntervalTopK.
-  ApproxConfig sampled;
-  sampled.mode = ApproxMode::kSampled;
-  sampled.sample_budget = 16;
-  const QueryEngine engine = MakeEngine(sampled);
-  const QueryEngine plain = MakeEngine(ApproxConfig{});
-
-  for (const Algorithm algo : {Algorithm::kIterative, Algorithm::kJoin}) {
-    ExpectSameFlows(engine.SnapshotTopKExact(t_, AllPois(), algo),
-                    plain.SnapshotTopK(t_, AllPois(), algo));
-    ExpectSameFlows(engine.IntervalTopKExact(ts_, te_, AllPois(), algo),
-                    plain.IntervalTopK(ts_, te_, AllPois(), algo));
+  std::vector<QuerySpec> specs;
+  for (const bool interval : {false, true}) {
+    const QuerySpec base{.interval = interval,
+                         .ts = interval ? ts_ : t_,
+                         .te = interval ? te_ : t_,
+                         .algorithm = Algorithm::kJoin,
+                         .k = AllPois()};
+    specs.push_back(base);
+    for (const Algorithm algo : {Algorithm::kIterative, Algorithm::kJoin}) {
+      QuerySpec threshold = base;
+      threshold.objective = Objective::kThreshold;
+      threshold.algorithm = algo;
+      threshold.k = 0;
+      threshold.tau = 0.5;
+      specs.push_back(threshold);
+      QuerySpec density = base;
+      density.objective = Objective::kDensity;
+      density.algorithm = algo;
+      specs.push_back(density);
+    }
   }
+  for (QuerySpec spec : specs) {
+    QueryStats exact_stats;
+    const auto exact = engine.Run(spec, {.stats = &exact_stats});
+    spec.approx = sampled;
+    ASSERT_FALSE(IsEstimate(spec));
+    QueryStats sampled_stats;
+    const auto rows = engine.Run(spec, {.stats = &sampled_stats});
+    ASSERT_FALSE(rows.empty());
+    ASSERT_EQ(rows.size(), exact.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].poi, exact[i].poi) << "rank " << i;
+      EXPECT_EQ(rows[i].value, exact[i].value) << "rank " << i;
+      EXPECT_TRUE(rows[i].exact) << "rank " << i;
+      EXPECT_EQ(rows[i].std_err, 0.0) << "rank " << i;
+    }
+    for (const QueryStatsField& field : kQueryStatsFields) {
+      if (std::string_view(field.json_name).ends_with("_ns")) continue;
+      EXPECT_EQ(sampled_stats.*field.member, exact_stats.*field.member)
+          << field.json_name;
+    }
+  }
+
+  // The one spec that does sample, for contrast.
+  const QuerySpec top_k{
+      .ts = t_, .te = t_, .k = AllPois(), .approx = sampled};
+  ASSERT_TRUE(IsEstimate(top_k));
+  bool any_estimated = false;
+  for (const FlowEstimate& est : engine.Run(top_k)) {
+    any_estimated = any_estimated || !est.exact;
+  }
+  EXPECT_TRUE(any_estimated);
 }
 
 TEST_F(ApproxEngineFixture, AdaptiveSwitchesOnPopulation) {
   ApproxConfig adaptive;
   adaptive.mode = ApproxMode::kAdaptive;
   adaptive.sample_budget = 8;
-  const QueryEngine engine = MakeEngine(adaptive);
+  const QueryEngine engine = MakeEngine();
 
   // Threshold above any possible population: evaluates exactly.
   adaptive.adaptive_min_population = 1 << 20;
   QueryStats exact_stats;
-  const auto exact_estimates = engine.SnapshotTopKEstimate(
-      t_, AllPois(), adaptive, nullptr, &exact_stats);
+  const auto exact_estimates =
+      engine.Run({.ts = t_, .te = t_, .k = AllPois(), .approx = adaptive},
+                 {.stats = &exact_stats});
   ASSERT_FALSE(exact_estimates.empty());
   for (const FlowEstimate& est : exact_estimates) EXPECT_TRUE(est.exact);
   EXPECT_EQ(exact_stats.sample_size, exact_stats.sample_population);
@@ -312,8 +340,9 @@ TEST_F(ApproxEngineFixture, AdaptiveSwitchesOnPopulation) {
   adaptive.adaptive_min_population = 1;
   QueryStats sampled_stats;
   QueryProfile profile;
-  const auto sampled_estimates = engine.SnapshotTopKEstimate(
-      t_, AllPois(), adaptive, nullptr, &sampled_stats, &profile);
+  const auto sampled_estimates =
+      engine.Run({.ts = t_, .te = t_, .k = AllPois(), .approx = adaptive},
+                 {.stats = &sampled_stats, .profile = &profile});
   ASSERT_GT(sampled_stats.sample_population, adaptive.sample_budget)
       << "fixture must have more candidates than the budget";
   EXPECT_EQ(sampled_stats.sample_size, adaptive.sample_budget);
@@ -327,7 +356,7 @@ TEST_F(ApproxEngineFixture, AdaptiveSwitchesOnPopulation) {
 }
 
 TEST_F(ApproxEngineFixture, ConfidenceIntervalsCoverTheExactFlow) {
-  const QueryEngine engine = MakeEngine(ApproxConfig{});
+  const QueryEngine engine = MakeEngine();
   const auto exact =
       engine.SnapshotTopK(t_, AllPois(), Algorithm::kIterative);
   std::vector<double> exact_flow(dataset_.pois.size(), 0.0);
@@ -344,8 +373,8 @@ TEST_F(ApproxEngineFixture, ConfidenceIntervalsCoverTheExactFlow) {
   constexpr int kSeeds = 40;
   for (int seed = 1; seed <= kSeeds; ++seed) {
     sampled.seed = static_cast<uint64_t>(seed);
-    const auto estimates =
-        engine.SnapshotTopKEstimate(t_, AllPois(), sampled);
+    const auto estimates = engine.Run(
+        {.ts = t_, .te = t_, .k = AllPois(), .approx = sampled});
     for (const FlowEstimate& est : estimates) {
       const double truth = exact_flow[static_cast<size_t>(est.poi)];
       // Only POIs with real flow test the interval meaningfully; a POI
@@ -375,12 +404,10 @@ class ApproxStreamingFixture : public ::testing::Test {
     dataset_ = GenerateOfficeDataset(config);
   }
 
-  std::unique_ptr<StreamingMonitor> MakeMonitor(
-      const ApproxConfig& approx) const {
+  std::unique_ptr<StreamingMonitor> MakeMonitor() const {
     StreamingOptions options;
     options.vmax = dataset_.vmax;
     options.expiry_seconds = 1e9;
-    options.approx = approx;
     auto monitor = std::make_unique<StreamingMonitor>(dataset_.deployment,
                                                       dataset_.pois,
                                                       options);
@@ -401,10 +428,10 @@ class ApproxStreamingFixture : public ::testing::Test {
 };
 
 TEST_F(ApproxStreamingFixture, ExactOptionsKeepCurrentTopKIdentical) {
-  const auto plain = MakeMonitor(ApproxConfig{});
+  const auto plain = MakeMonitor();
   ApproxConfig exact;
   exact.mode = ApproxMode::kExact;
-  const auto configured = MakeMonitor(exact);
+  const auto configured = MakeMonitor();
   const int k = static_cast<int>(dataset_.pois.size());
 
   ExpectSameFlows(plain->CurrentTopK(t_, k), configured->CurrentTopK(t_, k));
@@ -419,7 +446,7 @@ TEST_F(ApproxStreamingFixture, SampledLiveQueriesAreDeterministic) {
   ApproxConfig sampled;
   sampled.mode = ApproxMode::kSampled;
   sampled.sample_budget = 16;
-  const auto monitor = MakeMonitor(sampled);
+  const auto monitor = MakeMonitor();
   const int k = static_cast<int>(dataset_.pois.size());
 
   Counter& sampled_queries =
@@ -438,27 +465,6 @@ TEST_F(ApproxStreamingFixture, SampledLiveQueriesAreDeterministic) {
   }
   EXPECT_TRUE(any_estimated);
   EXPECT_EQ(sampled_queries.value(), before + 2);
-
-  // CurrentTopK on a sampled-config monitor routes through the same
-  // estimator, so ranked flows agree exactly.
-  ExpectSameFlows(monitor->CurrentTopK(t_, k),
-                  EstimatesToFlows(monitor->CurrentTopKEstimate(t_, k,
-                                                                sampled)));
-}
-
-TEST_F(ApproxStreamingFixture, ExactCurrentTopKBypassesSampledOptions) {
-  // The public ExactCurrentTopK ignores StreamingOptions::approx — it is
-  // how the serving layer honors a pinned approx=exact on a
-  // sampled-default monitor.
-  ApproxConfig sampled;
-  sampled.mode = ApproxMode::kSampled;
-  sampled.sample_budget = 16;
-  const auto monitor = MakeMonitor(sampled);
-  const auto plain = MakeMonitor(ApproxConfig{});
-  const int k = static_cast<int>(dataset_.pois.size());
-
-  ExpectSameFlows(monitor->ExactCurrentTopK(t_, k),
-                  plain->CurrentTopK(t_, k));
 }
 
 }  // namespace

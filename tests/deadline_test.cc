@@ -133,8 +133,11 @@ TEST_F(DeadlineEngineFixture, ExpiredControlAbortsEveryQueryMethod) {
     EXPECT_TRUE(interval_control.Aborted());
 
     QueryControl density_control(Deadline::AtNanos(MonotonicNowNs() - 1));
-    engine_->SnapshotDensityTopK(300.0, 5, algorithm, nullptr, nullptr,
-                                 nullptr, &density_control);
+    engine_->Run({.ts = 300.0,
+                  .te = 300.0,
+                  .objective = Objective::kDensity,
+                  .algorithm = algorithm,
+                  .k = 5}, {.control = &density_control});
     EXPECT_TRUE(density_control.Aborted());
   }
 }

@@ -1,7 +1,6 @@
-// Tests for the density top-k queries (SnapshotDensityTopK /
-// IntervalDensityTopK): definition (flow / area), algorithm parity, the
-// ranking inversion that distinguishes density from flow, and bound
-// validity in the join.
+// Tests for the density top-k queries (QuerySpec objective kDensity):
+// definition (flow / area), algorithm parity, the ranking inversion that
+// distinguishes density from flow, and bound validity in the join.
 
 #include <algorithm>
 #include <map>
@@ -47,7 +46,11 @@ TEST_F(DensityFixture, DensityIsFlowOverArea) {
   std::map<PoiId, double> flow_of;
   for (const PoiFlow& f : flows) flow_of[f.poi] = f.flow;
   const auto densities =
-      engine_->SnapshotDensityTopK(t, 1 << 20, Algorithm::kIterative);
+      EstimatesToFlows(engine_->Run({.ts = t,
+                                     .te = t,
+                                     .objective = Objective::kDensity,
+                                     .algorithm = Algorithm::kIterative,
+                                     .k = 1 << 20}));
   ASSERT_EQ(densities.size(), flows.size());
   for (const PoiFlow& d : densities) {
     const double area =
@@ -61,8 +64,17 @@ TEST_F(DensityFixture, SnapshotAlgorithmsAgree) {
   for (Timestamp t : {300.0, 600.0, 900.0}) {
     for (int k : {1, 5, 20}) {
       const auto iter =
-          engine_->SnapshotDensityTopK(t, k, Algorithm::kIterative);
-      const auto join = engine_->SnapshotDensityTopK(t, k, Algorithm::kJoin);
+          EstimatesToFlows(engine_->Run({.ts = t,
+                                         .te = t,
+                                         .objective = Objective::kDensity,
+                                         .algorithm = Algorithm::kIterative,
+                                         .k = k}));
+      const auto join = EstimatesToFlows(engine_->Run(
+          {.ts = t,
+           .te = t,
+           .objective = Objective::kDensity,
+           .algorithm = Algorithm::kJoin,
+           .k = k}));
       ASSERT_EQ(iter.size(), join.size()) << "t=" << t << " k=" << k;
       for (size_t i = 0; i < iter.size(); ++i) {
         EXPECT_EQ(iter[i].poi, join[i].poi)
@@ -79,8 +91,19 @@ TEST_F(DensityFixture, IntervalAlgorithmsAgreeAsSets) {
   const Timestamp ts = 400.0, te = 800.0;
   const int k = 10;
   const auto iter =
-      engine_->IntervalDensityTopK(ts, te, k, Algorithm::kIterative);
-  const auto join = engine_->IntervalDensityTopK(ts, te, k, Algorithm::kJoin);
+      EstimatesToFlows(engine_->Run({.interval = true,
+                                     .ts = ts,
+                                     .te = te,
+                                     .objective = Objective::kDensity,
+                                     .algorithm = Algorithm::kIterative,
+                                     .k = k}));
+  const auto join = EstimatesToFlows(engine_->Run(
+      {.interval = true,
+       .ts = ts,
+       .te = te,
+       .objective = Objective::kDensity,
+       .algorithm = Algorithm::kJoin,
+       .k = k}));
   ASSERT_EQ(iter.size(), join.size());
   std::map<PoiId, double> join_of;
   for (const PoiFlow& f : join) join_of[f.poi] = f.flow;
@@ -92,7 +115,11 @@ TEST_F(DensityFixture, IntervalAlgorithmsAgreeAsSets) {
 
 TEST_F(DensityFixture, ResultsOrderedByDensity) {
   const auto top =
-      engine_->SnapshotDensityTopK(600.0, 15, Algorithm::kJoin);
+      EstimatesToFlows(engine_->Run({.ts = 600.0,
+                                     .te = 600.0,
+                                     .objective = Objective::kDensity,
+                                     .algorithm = Algorithm::kJoin,
+                                     .k = 15}));
   for (size_t i = 1; i < top.size(); ++i) {
     EXPECT_LE(top[i].flow, top[i - 1].flow + 1e-12) << "rank " << i;
   }
@@ -104,7 +131,12 @@ TEST_F(DensityFixture, SubsetRespected) {
     if (poi.id % 4 == 0) subset.push_back(poi.id);
   }
   const auto top =
-      engine_->SnapshotDensityTopK(600.0, 8, Algorithm::kJoin, &subset);
+      EstimatesToFlows(engine_->Run({.ts = 600.0,
+                                     .te = 600.0,
+                                     .objective = Objective::kDensity,
+                                     .algorithm = Algorithm::kJoin,
+                                     .k = 8,
+                                     .subset = &subset}));
   for (const PoiFlow& f : top) EXPECT_EQ(f.poi % 4, 0);
 }
 
@@ -143,7 +175,11 @@ TEST(DensityInversionTest, SmallCrowdedPoiWinsOnDensity) {
   // density disagree by checking against per-area analytics directly.
   const auto by_flow = engine.SnapshotTopK(50.0, 2, Algorithm::kJoin);
   const auto by_density =
-      engine.SnapshotDensityTopK(50.0, 2, Algorithm::kJoin);
+      EstimatesToFlows(engine.Run({.ts = 50.0,
+                                   .te = 50.0,
+                                   .objective = Objective::kDensity,
+                                   .algorithm = Algorithm::kJoin,
+                                   .k = 2}));
   ASSERT_EQ(by_flow.size(), 2u);
   ASSERT_EQ(by_density.size(), 2u);
   // Closet wins both here, but the magnitudes differ per definition:
@@ -160,7 +196,11 @@ TEST(DensityInversionTest, SmallCrowdedPoiWinsOnDensity) {
                                    pois, config);
   const auto flow2 = crowded_engine.SnapshotTopK(50.0, 1, Algorithm::kJoin);
   const auto dens2 =
-      crowded_engine.SnapshotDensityTopK(50.0, 1, Algorithm::kJoin);
+      EstimatesToFlows(crowded_engine.Run({.ts = 50.0,
+                                           .te = 50.0,
+                                           .objective = Objective::kDensity,
+                                           .algorithm = Algorithm::kJoin,
+                                           .k = 1}));
   EXPECT_EQ(flow2[0].poi, 0);  // hall: 30 * pi/48 = 1.96 > 2 * pi/4 = 1.57
   EXPECT_EQ(dens2[0].poi, 1);  // closet: 0.39 >> hall 0.041
 }
@@ -183,7 +223,12 @@ TEST(DensityEdgeTest, ZeroAreaPoiScoresZero) {
   const QueryEngine engine(built.plan, graph, deployment, table, pois,
                            config);
   for (const Algorithm algo : {Algorithm::kIterative, Algorithm::kJoin}) {
-    const auto top = engine.SnapshotDensityTopK(50.0, 2, algo);
+    const auto top = EstimatesToFlows(engine.Run(
+        {.ts = 50.0,
+         .te = 50.0,
+         .objective = Objective::kDensity,
+         .algorithm = algo,
+         .k = 2}));
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0].poi, 1);
     EXPECT_GT(top[0].flow, 0.0);

@@ -242,7 +242,12 @@ TEST_F(DifferentialFixture, ThresholdAndDensityMatchNaiveDefinition) {
     size_t expected_count = 0;
     for (const auto& [id, flow] : flows) expected_count += flow >= tau;
     for (const Algorithm algo : {Algorithm::kIterative, Algorithm::kJoin}) {
-      const auto hot = engine.SnapshotThreshold(t, tau, algo);
+      const auto hot = EstimatesToFlows(engine.Run(
+          {.ts = t,
+           .te = t,
+           .objective = Objective::kThreshold,
+           .algorithm = algo,
+           .tau = tau}));
       ASSERT_EQ(hot.size(), expected_count) << "tau=" << tau;
       for (const PoiFlow& f : hot) {
         EXPECT_NEAR(f.flow, flows.at(f.poi), 1e-9);
@@ -253,7 +258,12 @@ TEST_F(DifferentialFixture, ThresholdAndDensityMatchNaiveDefinition) {
 
   // Density: naive flow / POI area, per POI.
   for (const Algorithm algo : {Algorithm::kIterative, Algorithm::kJoin}) {
-    const auto dense = engine.SnapshotDensityTopK(t, k, algo);
+    const auto dense = EstimatesToFlows(engine.Run(
+        {.ts = t,
+         .te = t,
+         .objective = Objective::kDensity,
+         .algorithm = algo,
+         .k = k}));
     ASSERT_EQ(dense.size(), flows.size());
     for (const PoiFlow& f : dense) {
       const double area = dataset_.pois[static_cast<size_t>(f.poi)].Area();
@@ -306,17 +316,41 @@ TEST_F(DifferentialFixture, CachedResultsAreBitIdenticalAcrossQueryMatrix) {
         expect_identical(uncached.IntervalTopK(ts, te, k, algo),
                          cached.IntervalTopK(ts, te, k, algo),
                          "interval topk");
-        expect_identical(uncached.SnapshotThreshold(t, tau, algo),
-                         cached.SnapshotThreshold(t, tau, algo),
+        const QuerySpec snapshot_threshold{
+            .ts = t,
+            .te = t,
+            .objective = Objective::kThreshold,
+            .algorithm = algo,
+            .tau = tau};
+        const QuerySpec interval_threshold{
+            .interval = true,
+            .ts = ts,
+            .te = te,
+            .objective = Objective::kThreshold,
+            .algorithm = algo,
+            .tau = tau};
+        const QuerySpec snapshot_density{.ts = t,
+                                         .te = t,
+                                         .objective = Objective::kDensity,
+                                         .algorithm = algo,
+                                         .k = k};
+        const QuerySpec interval_density{.interval = true,
+                                         .ts = ts,
+                                         .te = te,
+                                         .objective = Objective::kDensity,
+                                         .algorithm = algo,
+                                         .k = k};
+        expect_identical(EstimatesToFlows(uncached.Run(snapshot_threshold)),
+                         EstimatesToFlows(cached.Run(snapshot_threshold)),
                          "snapshot threshold");
-        expect_identical(uncached.IntervalThreshold(ts, te, tau, algo),
-                         cached.IntervalThreshold(ts, te, tau, algo),
+        expect_identical(EstimatesToFlows(uncached.Run(interval_threshold)),
+                         EstimatesToFlows(cached.Run(interval_threshold)),
                          "interval threshold");
-        expect_identical(uncached.SnapshotDensityTopK(t, k, algo),
-                         cached.SnapshotDensityTopK(t, k, algo),
+        expect_identical(EstimatesToFlows(uncached.Run(snapshot_density)),
+                         EstimatesToFlows(cached.Run(snapshot_density)),
                          "snapshot density");
-        expect_identical(uncached.IntervalDensityTopK(ts, te, k, algo),
-                         cached.IntervalDensityTopK(ts, te, k, algo),
+        expect_identical(EstimatesToFlows(uncached.Run(interval_density)),
+                         EstimatesToFlows(cached.Run(interval_density)),
                          "interval density");
       }
     }

@@ -199,8 +199,17 @@ TEST_F(EdgeFixture, DegeneratePoiDoesNotPoisonDensityRanking) {
   const QueryEngine engine = MakeEngine(table, pois);
 
   const auto iter =
-      engine.SnapshotDensityTopK(50.0, 3, Algorithm::kIterative);
-  const auto join = engine.SnapshotDensityTopK(50.0, 3, Algorithm::kJoin);
+      EstimatesToFlows(engine.Run({.ts = 50.0,
+                                   .te = 50.0,
+                                   .objective = Objective::kDensity,
+                                   .algorithm = Algorithm::kIterative,
+                                   .k = 3}));
+  const auto join = EstimatesToFlows(engine.Run(
+      {.ts = 50.0,
+       .te = 50.0,
+       .objective = Objective::kDensity,
+       .algorithm = Algorithm::kJoin,
+       .k = 3}));
   ASSERT_EQ(iter.size(), 3u);
   ASSERT_EQ(join.size(), 3u);
   for (size_t i = 0; i < iter.size(); ++i) {
@@ -217,9 +226,19 @@ TEST_F(EdgeFixture, DegeneratePoiDoesNotPoisonDensityRanking) {
 
   // Interval density over the same data must agree across algorithms too.
   const auto iter_interval =
-      engine.IntervalDensityTopK(20.0, 80.0, 3, Algorithm::kIterative);
+      EstimatesToFlows(engine.Run({.interval = true,
+                                   .ts = 20.0,
+                                   .te = 80.0,
+                                   .objective = Objective::kDensity,
+                                   .algorithm = Algorithm::kIterative,
+                                   .k = 3}));
   const auto join_interval =
-      engine.IntervalDensityTopK(20.0, 80.0, 3, Algorithm::kJoin);
+      EstimatesToFlows(engine.Run({.interval = true,
+                                   .ts = 20.0,
+                                   .te = 80.0,
+                                   .objective = Objective::kDensity,
+                                   .algorithm = Algorithm::kJoin,
+                                   .k = 3}));
   ASSERT_EQ(iter_interval.size(), join_interval.size());
   for (size_t i = 0; i < iter_interval.size(); ++i) {
     EXPECT_EQ(join_interval[i].poi, iter_interval[i].poi) << "rank " << i;

@@ -138,8 +138,18 @@ void RunMatrix(const QueryEngine& serial, const QueryEngine& parallel) {
       sp = QueryProfile();
       pp = QueryProfile();
       ExpectSameFlows(
-          serial.SnapshotThreshold(t, kTau, algo, nullptr, &ss, &sp),
-          parallel.SnapshotThreshold(t, kTau, algo, nullptr, &ps, &pp),
+          EstimatesToFlows(serial.Run(
+              {.ts = t,
+               .te = t,
+               .objective = Objective::kThreshold,
+               .algorithm = algo,
+               .tau = kTau}, {.stats = &ss, .profile = &sp})),
+          EstimatesToFlows(parallel.Run(
+              {.ts = t,
+               .te = t,
+               .objective = Objective::kThreshold,
+               .algorithm = algo,
+               .tau = kTau}, {.stats = &ps, .profile = &pp})),
           "SnapshotThreshold");
       ExpectSameWork(ss, ps, "SnapshotThreshold");
       ExpectSameExplain(sp, pp, "SnapshotThreshold");
@@ -148,10 +158,20 @@ void RunMatrix(const QueryEngine& serial, const QueryEngine& parallel) {
       sp = QueryProfile();
       pp = QueryProfile();
       ExpectSameFlows(
-          serial.IntervalThreshold(t, t + 120.0, kTau, algo, nullptr, &ss,
-                                   &sp),
-          parallel.IntervalThreshold(t, t + 120.0, kTau, algo, nullptr,
-                                     &ps, &pp),
+          EstimatesToFlows(serial.Run(
+              {.interval = true,
+               .ts = t,
+               .te = t + 120.0,
+               .objective = Objective::kThreshold,
+               .algorithm = algo,
+               .tau = kTau}, {.stats = &ss, .profile = &sp})),
+          EstimatesToFlows(parallel.Run(
+              {.interval = true,
+               .ts = t,
+               .te = t + 120.0,
+               .objective = Objective::kThreshold,
+               .algorithm = algo,
+               .tau = kTau}, {.stats = &ps, .profile = &pp})),
           "IntervalThreshold");
       ExpectSameWork(ss, ps, "IntervalThreshold");
       ExpectSameExplain(sp, pp, "IntervalThreshold");
@@ -160,8 +180,18 @@ void RunMatrix(const QueryEngine& serial, const QueryEngine& parallel) {
       sp = QueryProfile();
       pp = QueryProfile();
       ExpectSameFlows(
-          serial.SnapshotDensityTopK(t, kK, algo, nullptr, &ss, &sp),
-          parallel.SnapshotDensityTopK(t, kK, algo, nullptr, &ps, &pp),
+          EstimatesToFlows(serial.Run(
+              {.ts = t,
+               .te = t,
+               .objective = Objective::kDensity,
+               .algorithm = algo,
+               .k = kK}, {.stats = &ss, .profile = &sp})),
+          EstimatesToFlows(parallel.Run(
+              {.ts = t,
+               .te = t,
+               .objective = Objective::kDensity,
+               .algorithm = algo,
+               .k = kK}, {.stats = &ps, .profile = &pp})),
           "SnapshotDensityTopK");
       ExpectSameWork(ss, ps, "SnapshotDensityTopK");
       ExpectSameExplain(sp, pp, "SnapshotDensityTopK");
@@ -170,10 +200,20 @@ void RunMatrix(const QueryEngine& serial, const QueryEngine& parallel) {
       sp = QueryProfile();
       pp = QueryProfile();
       ExpectSameFlows(
-          serial.IntervalDensityTopK(t, t + 120.0, kK, algo, nullptr, &ss,
-                                     &sp),
-          parallel.IntervalDensityTopK(t, t + 120.0, kK, algo, nullptr,
-                                       &ps, &pp),
+          EstimatesToFlows(serial.Run(
+              {.interval = true,
+               .ts = t,
+               .te = t + 120.0,
+               .objective = Objective::kDensity,
+               .algorithm = algo,
+               .k = kK}, {.stats = &ss, .profile = &sp})),
+          EstimatesToFlows(parallel.Run(
+              {.interval = true,
+               .ts = t,
+               .te = t + 120.0,
+               .objective = Objective::kDensity,
+               .algorithm = algo,
+               .k = kK}, {.stats = &ps, .profile = &pp})),
           "IntervalDensityTopK");
       ExpectSameWork(ss, ps, "IntervalDensityTopK");
       ExpectSameExplain(sp, pp, "IntervalDensityTopK");
@@ -188,8 +228,14 @@ void RunMatrix(const QueryEngine& serial, const QueryEngine& parallel) {
     QueryStats ss, ps;
     QueryProfile sp, pp;
     ExpectSameEstimates(
-        serial.SnapshotTopKEstimate(t, kK, approx, nullptr, &ss, &sp),
-        parallel.SnapshotTopKEstimate(t, kK, approx, nullptr, &ps, &pp),
+        serial.Run({.ts = t,
+                    .te = t,
+                    .k = kK,
+                    .approx = approx}, {.stats = &ss, .profile = &sp}),
+        parallel.Run({.ts = t,
+                      .te = t,
+                      .k = kK,
+                      .approx = approx}, {.stats = &ps, .profile = &pp}),
         "SnapshotTopKEstimate");
     EXPECT_LT(ss.sample_size, ss.sample_population) << "t=" << t;
     ExpectSameWork(ss, ps, "SnapshotTopKEstimate");
@@ -201,10 +247,16 @@ void RunMatrix(const QueryEngine& serial, const QueryEngine& parallel) {
     sp = QueryProfile();
     pp = QueryProfile();
     ExpectSameEstimates(
-        serial.IntervalTopKEstimate(t, t + 120.0, kK, approx, nullptr, &ss,
-                                    &sp),
-        parallel.IntervalTopKEstimate(t, t + 120.0, kK, approx, nullptr,
-                                      &ps, &pp),
+        serial.Run({.interval = true,
+                    .ts = t,
+                    .te = t + 120.0,
+                    .k = kK,
+                    .approx = approx}, {.stats = &ss, .profile = &sp}),
+        parallel.Run({.interval = true,
+                      .ts = t,
+                      .te = t + 120.0,
+                      .k = kK,
+                      .approx = approx}, {.stats = &ps, .profile = &pp}),
         "IntervalTopKEstimate");
     EXPECT_LT(ss.sample_size, ss.sample_population) << "t=" << t;
     ExpectSameWork(ss, ps, "IntervalTopKEstimate");

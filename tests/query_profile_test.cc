@@ -85,7 +85,11 @@ TEST(QueryProfileTest, VerdictsPartitionPoiSetAcrossQueryTypes) {
     }
     {
       QueryProfile profile;
-      engine.SnapshotThreshold(t, 1.0, algo, nullptr, nullptr, &profile);
+      engine.Run({.ts = t,
+                  .te = t,
+                  .objective = Objective::kThreshold,
+                  .algorithm = algo,
+                  .tau = 1.0}, {.profile = &profile});
       EXPECT_EQ(profile.kind, "SnapshotThreshold");
       EXPECT_EQ(profile.tau, 1.0);
       EXPECT_EQ(profile.k, 0);
@@ -93,21 +97,33 @@ TEST(QueryProfileTest, VerdictsPartitionPoiSetAcrossQueryTypes) {
     }
     {
       QueryProfile profile;
-      engine.IntervalThreshold(t - 60.0, t + 60.0, 1.0, algo, nullptr,
-                               nullptr, &profile);
+      engine.Run({.interval = true,
+                  .ts = t - 60.0,
+                  .te = t + 60.0,
+                  .objective = Objective::kThreshold,
+                  .algorithm = algo,
+                  .tau = 1.0}, {.profile = &profile});
       EXPECT_EQ(profile.kind, "IntervalThreshold");
       ExpectPartition(profile, pois);
     }
     {
       QueryProfile profile;
-      engine.SnapshotDensityTopK(t, 3, algo, nullptr, nullptr, &profile);
+      engine.Run({.ts = t,
+                  .te = t,
+                  .objective = Objective::kDensity,
+                  .algorithm = algo,
+                  .k = 3}, {.profile = &profile});
       EXPECT_EQ(profile.kind, "SnapshotDensityTopK");
       ExpectPartition(profile, pois);
     }
     {
       QueryProfile profile;
-      engine.IntervalDensityTopK(t - 60.0, t + 60.0, 3, algo, nullptr,
-                                 nullptr, &profile);
+      engine.Run({.interval = true,
+                  .ts = t - 60.0,
+                  .te = t + 60.0,
+                  .objective = Objective::kDensity,
+                  .algorithm = algo,
+                  .k = 3}, {.profile = &profile});
       EXPECT_EQ(profile.kind, "IntervalDensityTopK");
       ExpectPartition(profile, pois);
     }

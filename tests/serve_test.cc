@@ -119,13 +119,9 @@ class ServeFixture : public ::testing::Test {
 
   /// A StreamingMonitor warmed with the dataset's tracking history (each
   /// record replayed as its boundary readings), for the /query/live route.
-  /// `approx` sets the monitor's default evaluation mode (exact unless a
-  /// test exercises the sampled-default configuration).
-  std::unique_ptr<StreamingMonitor> MakeLiveMonitor(
-      const ApproxConfig& approx = ApproxConfig{}) {
+  std::unique_ptr<StreamingMonitor> MakeLiveMonitor() {
     StreamingOptions options;
     options.vmax = dataset_.vmax;
-    options.approx = approx;
     options.expiry_seconds = 1e9;  // replayed history never expires
     auto monitor = std::make_unique<StreamingMonitor>(dataset_.deployment,
                                                       dataset_.pois, options);
@@ -341,17 +337,15 @@ TEST_F(ServeFixture, ExplicitExactApproxKeepsResponseShape) {
 }
 
 TEST_F(ServeFixture, ExactPinBypassesSampledServiceDefault) {
-  // A server configured sampled end to end: engine config, monitor
-  // options, and service default all carry mode=kSampled. A client
-  // pinning approx=exact must still get the exact answer in the exact
-  // response shape — never a sampled estimate re-routed by the config.
+  // A server whose service default is mode=kSampled. A client pinning
+  // approx=exact must still get the exact answer in the exact response
+  // shape — never a sampled estimate re-routed by the default.
   ApproxConfig sampled;
   sampled.mode = ApproxMode::kSampled;
   sampled.sample_budget = 8;
   EngineConfig engine_config;
-  engine_config.approx = sampled;
   QueryEngine sampled_engine(dataset_, engine_config);
-  const auto sampled_monitor = MakeLiveMonitor(sampled);
+  const auto sampled_monitor = MakeLiveMonitor();
   QueryServiceOptions options;
   options.approx = sampled;
   QueryService service(&sampled_engine, options, sampled_monitor.get());

@@ -1,7 +1,6 @@
-// Tests for the flow-threshold queries (SnapshotThreshold /
-// IntervalThreshold): algorithm parity, consistency with top-k,
-// monotonicity in tau, subset handling, and the join's bound-driven early
-// termination.
+// Tests for the flow-threshold queries (QuerySpec objective kThreshold):
+// algorithm parity, consistency with top-k, monotonicity in tau, subset
+// handling, and the join's bound-driven early termination.
 
 #include <algorithm>
 #include <cmath>
@@ -71,7 +70,11 @@ TEST_F(ThresholdFixture, MatchesIterativeReference) {
     const double tau = MidTau(flows, rank);
     if (tau <= 0.0) continue;
     const auto result =
-        engine_->SnapshotThreshold(t, tau, Algorithm::kIterative);
+        EstimatesToFlows(engine_->Run({.ts = t,
+                                       .te = t,
+                                       .objective = Objective::kThreshold,
+                                       .algorithm = Algorithm::kIterative,
+                                       .tau = tau}));
     // Exactly the POIs whose reference flow clears tau, flow-descending.
     size_t expected = 0;
     for (const auto& [id, flow] : flows) expected += flow >= tau ? 1 : 0;
@@ -93,8 +96,17 @@ TEST_F(ThresholdFixture, SnapshotAlgorithmsAgree) {
       const double tau = MidTau(flows, rank);
       if (tau <= 0.0) continue;
       const auto iter =
-          engine_->SnapshotThreshold(t, tau, Algorithm::kIterative);
-      const auto join = engine_->SnapshotThreshold(t, tau, Algorithm::kJoin);
+          EstimatesToFlows(engine_->Run({.ts = t,
+                                         .te = t,
+                                         .objective = Objective::kThreshold,
+                                         .algorithm = Algorithm::kIterative,
+                                         .tau = tau}));
+      const auto join = EstimatesToFlows(engine_->Run(
+          {.ts = t,
+           .te = t,
+           .objective = Objective::kThreshold,
+           .algorithm = Algorithm::kJoin,
+           .tau = tau}));
       ASSERT_EQ(iter.size(), join.size()) << "t=" << t << " tau=" << tau;
       for (size_t i = 0; i < iter.size(); ++i) {
         EXPECT_EQ(iter[i].poi, join[i].poi) << "rank " << i;
@@ -114,9 +126,19 @@ TEST_F(ThresholdFixture, IntervalAlgorithmsAgree) {
     const double tau = MidTau(flows, rank);
     if (tau <= 0.0) continue;
     const auto iter =
-        engine_->IntervalThreshold(ts, te, tau, Algorithm::kIterative);
+        EstimatesToFlows(engine_->Run({.interval = true,
+                                       .ts = ts,
+                                       .te = te,
+                                       .objective = Objective::kThreshold,
+                                       .algorithm = Algorithm::kIterative,
+                                       .tau = tau}));
     const auto join =
-        engine_->IntervalThreshold(ts, te, tau, Algorithm::kJoin);
+        EstimatesToFlows(engine_->Run({.interval = true,
+                                       .ts = ts,
+                                       .te = te,
+                                       .objective = Objective::kThreshold,
+                                       .algorithm = Algorithm::kJoin,
+                                       .tau = tau}));
     // Same POI set with matching flows. (Rank order inside exact-tie
     // groups is not comparable: the algorithms accumulate presences in
     // different orders, so tied flows differ at the 1e-15 level.)
@@ -143,7 +165,12 @@ TEST_F(ThresholdFixture, ConsistentWithTopK) {
   ASSERT_EQ(top.size(), static_cast<size_t>(k));
   if (top.back().flow <= 0.0) GTEST_SKIP() << "fewer than k hot POIs";
   const double tau = top.back().flow * (1.0 - 1e-9);
-  const auto thresh = engine_->SnapshotThreshold(t, tau, Algorithm::kJoin);
+  const auto thresh = EstimatesToFlows(engine_->Run(
+      {.ts = t,
+       .te = t,
+       .objective = Objective::kThreshold,
+       .algorithm = Algorithm::kJoin,
+       .tau = tau}));
   ASSERT_GE(thresh.size(), static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {
     EXPECT_EQ(thresh[static_cast<size_t>(i)].poi, top[static_cast<size_t>(i)].poi);
@@ -158,7 +185,12 @@ TEST_F(ThresholdFixture, MonotoneInTau) {
   for (size_t rank : {size_t{15}, size_t{8}, size_t{3}, size_t{1}, size_t{0}}) {
     const double tau = MidTau(flows, rank);
     if (tau <= 0.0) continue;
-    const auto result = engine_->SnapshotThreshold(t, tau, Algorithm::kJoin);
+    const auto result = EstimatesToFlows(engine_->Run(
+        {.ts = t,
+         .te = t,
+         .objective = Objective::kThreshold,
+         .algorithm = Algorithm::kJoin,
+         .tau = tau}));
     std::set<PoiId> current;
     for (const PoiFlow& f : result) current.insert(f.poi);
     if (!first) {
@@ -175,10 +207,25 @@ TEST_F(ThresholdFixture, AboveMaxFlowIsEmpty) {
   const Timestamp t = 600.0;
   const auto flows = AllFlows(*engine_, t);
   const double tau = MidTau(flows, 0);  // strictly above the maximum
-  EXPECT_TRUE(engine_->SnapshotThreshold(t, tau, Algorithm::kIterative).empty());
-  EXPECT_TRUE(engine_->SnapshotThreshold(t, tau, Algorithm::kJoin).empty());
+  EXPECT_TRUE(EstimatesToFlows(engine_->Run(
+      {.ts = t,
+       .te = t,
+       .objective = Objective::kThreshold,
+       .algorithm = Algorithm::kIterative,
+       .tau = tau})).empty());
+  EXPECT_TRUE(EstimatesToFlows(engine_->Run(
+      {.ts = t,
+       .te = t,
+       .objective = Objective::kThreshold,
+       .algorithm = Algorithm::kJoin,
+       .tau = tau})).empty());
   EXPECT_TRUE(
-      engine_->IntervalThreshold(500.0, 700.0, 1e9, Algorithm::kJoin).empty());
+      EstimatesToFlows(engine_->Run({.interval = true,
+                                     .ts = 500.0,
+                                     .te = 700.0,
+                                     .objective = Objective::kThreshold,
+                                     .algorithm = Algorithm::kJoin,
+                                     .tau = 1e9})).empty());
 }
 
 TEST_F(ThresholdFixture, SubsetRestrictsCandidates) {
@@ -191,7 +238,12 @@ TEST_F(ThresholdFixture, SubsetRestrictsCandidates) {
   const double tau = MidTau(flows, 10);
   if (tau <= 0.0) GTEST_SKIP() << "degenerate flows";
   const auto result =
-      engine_->SnapshotThreshold(t, tau, Algorithm::kIterative, &subset);
+      EstimatesToFlows(engine_->Run({.ts = t,
+                                     .te = t,
+                                     .objective = Objective::kThreshold,
+                                     .algorithm = Algorithm::kIterative,
+                                     .tau = tau,
+                                     .subset = &subset}));
   for (const PoiFlow& f : result) {
     EXPECT_EQ(f.poi % 3, 0) << "POI outside the subset";
     EXPECT_GE(f.flow, tau);
@@ -214,12 +266,18 @@ TEST_F(ThresholdFixture, JoinPrunesAtSelectiveThresholds) {
 
   QueryStats join_stats;
   const auto join =
-      engine_->SnapshotThreshold(t, tau, Algorithm::kJoin, nullptr,
-                                 &join_stats);
+      EstimatesToFlows(engine_->Run({.ts = t,
+                                     .te = t,
+                                     .objective = Objective::kThreshold,
+                                     .algorithm = Algorithm::kJoin,
+                                     .tau = tau}, {.stats = &join_stats}));
   QueryStats iter_stats;
   const auto iter =
-      engine_->SnapshotThreshold(t, tau, Algorithm::kIterative, nullptr,
-                                 &iter_stats);
+      EstimatesToFlows(engine_->Run({.ts = t,
+                                     .te = t,
+                                     .objective = Objective::kThreshold,
+                                     .algorithm = Algorithm::kIterative,
+                                     .tau = tau}, {.stats = &iter_stats}));
   ASSERT_EQ(join.size(), iter.size());
   EXPECT_LT(join_stats.pois_evaluated, iter_stats.pois_evaluated);
   EXPECT_LE(join_stats.presence_evaluations,
@@ -228,9 +286,17 @@ TEST_F(ThresholdFixture, JoinPrunesAtSelectiveThresholds) {
 
 TEST_F(ThresholdFixture, StatsAccumulateAcrossCalls) {
   QueryStats stats;
-  engine_->SnapshotThreshold(600.0, 0.5, Algorithm::kJoin, nullptr, &stats);
+  engine_->Run({.ts = 600.0,
+                .te = 600.0,
+                .objective = Objective::kThreshold,
+                .algorithm = Algorithm::kJoin,
+                .tau = 0.5}, {.stats = &stats});
   const int64_t first = stats.pois_evaluated;
-  engine_->SnapshotThreshold(600.0, 0.5, Algorithm::kJoin, nullptr, &stats);
+  engine_->Run({.ts = 600.0,
+                .te = 600.0,
+                .objective = Objective::kThreshold,
+                .algorithm = Algorithm::kJoin,
+                .tau = 0.5}, {.stats = &stats});
   EXPECT_EQ(stats.pois_evaluated, 2 * first);
 }
 
@@ -238,10 +304,18 @@ TEST_F(ThresholdFixture, StatsAccumulateAcrossCalls) {
 // reaches any positive tau.
 TEST_F(ThresholdFixture, QuietWindowIsEmpty) {
   const auto result =
-      engine_->SnapshotThreshold(-100.0, 0.01, Algorithm::kJoin);
+      EstimatesToFlows(engine_->Run({.ts = -100.0,
+                                     .te = -100.0,
+                                     .objective = Objective::kThreshold,
+                                     .algorithm = Algorithm::kJoin,
+                                     .tau = 0.01}));
   EXPECT_TRUE(result.empty());
   const auto iter =
-      engine_->SnapshotThreshold(-100.0, 0.01, Algorithm::kIterative);
+      EstimatesToFlows(engine_->Run({.ts = -100.0,
+                                     .te = -100.0,
+                                     .objective = Objective::kThreshold,
+                                     .algorithm = Algorithm::kIterative,
+                                     .tau = 0.01}));
   EXPECT_TRUE(iter.empty());
 }
 
@@ -252,12 +326,24 @@ using ThresholdDeathTest = ThresholdFixture;
 
 void ExpectTauRejected(const QueryEngine& engine, Algorithm algorithm) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(engine.SnapshotThreshold(600.0, 0.0, algorithm),
+  EXPECT_DEATH(engine.Run({.ts = 600.0,
+                           .te = 600.0,
+                           .objective = Objective::kThreshold,
+                           .algorithm = algorithm,
+                           .tau = 0.0}),
                "INDOORFLOW_CHECK failed at .*: .*tau > 0");
-  EXPECT_DEATH(engine.SnapshotThreshold(600.0, -0.5, algorithm),
+  EXPECT_DEATH(engine.Run({.ts = 600.0,
+                           .te = 600.0,
+                           .objective = Objective::kThreshold,
+                           .algorithm = algorithm,
+                           .tau = -0.5}),
                "INDOORFLOW_CHECK failed at .*: .*tau > 0");
-  EXPECT_DEATH(engine.IntervalThreshold(400.0, 800.0, std::nan(""),
-                                        algorithm),
+  EXPECT_DEATH(engine.Run({.interval = true,
+                           .ts = 400.0,
+                           .te = 800.0,
+                           .objective = Objective::kThreshold,
+                           .algorithm = algorithm,
+                           .tau = std::nan("")}),
                "INDOORFLOW_CHECK failed at .*: .*tau > 0");
 }
 

@@ -4,7 +4,8 @@
 // Subcommands:
 //   generate  --out DIR [--dataset office|cph|mall] [--objects N]
 //             [--duration S] [--range R] [--seed S] [--pois N]
-//             Writes plan.txt, pois.txt, deployment.csv, ott.csv.
+//             Writes plan.txt, pois.txt, deployment.csv, ott.csv into DIR,
+//             creating it (and missing parents) first.
 //   snapshot  --data DIR --t T [--k K] [--algo iterative|join]
 //             [--topology off|partition|exact] [--metric flow|density]
 //   interval  --data DIR --ts T --te T [--k K] [--algo ...] [--topology ...]
@@ -32,12 +33,16 @@
 // uncertainty-region cache (src/core/ur_cache.h, docs/TUNING.md) —
 // --threads N [--parallel-threshold N] — intra-query fan-out across the
 // shared executor (src/common/executor.h, docs/TUNING.md) — and
-// --approx exact|sampled|adaptive [--sample-budget N] — sampling-based
-// approximate evaluation for iterative top-k queries (src/core/approx.h,
-// docs/APPROXIMATION.md); the join algorithm always evaluates exactly.
+// --approx exact|sampled|adaptive [--sample-budget N] — the evaluation
+// mode the query commands put in their QuerySpec and `serve` makes its
+// default: sampling-based approximate evaluation for iterative flow top-k
+// (src/core/approx.h, docs/APPROXIMATION.md); every other query evaluates
+// exactly.
 //
 // Exit code 0 on success; errors go to the structured log (stderr by
-// default; see src/common/log.h for INDOORFLOW_LOG_* configuration).
+// default; see src/common/log.h for INDOORFLOW_LOG_* configuration) and
+// exit 1 — a malformed number or an invalid query (ValidateQuerySpec)
+// included, never a silent default.
 
 #include <algorithm>
 #include <chrono>
@@ -45,6 +50,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -101,15 +108,22 @@ class Flags {
     return Get(key).value_or(fallback);
   }
 
+  /// The flag's value as a finite number; nullopt when absent or
+  /// malformed (see status()).
+  std::optional<double> GetDouble(const std::string& key) {
+    return Number(key, /*integral=*/false);
+  }
+
   double GetDouble(const std::string& key, double fallback) {
-    const auto value = Get(key);
-    return value ? std::atof(value->c_str()) : fallback;
+    return Number(key, /*integral=*/false).value_or(fallback);
   }
 
   int GetInt(const std::string& key, int fallback) {
-    const auto value = Get(key);
-    return value ? std::atoi(value->c_str()) : fallback;
+    return static_cast<int>(Number(key, /*integral=*/true).value_or(fallback));
   }
+
+  /// The first malformed numeric value read so far (OK when none).
+  const Status& status() const { return status_; }
 
   /// Any flags that no subcommand consumed (typos).
   std::vector<std::string> Unconsumed() const {
@@ -121,10 +135,36 @@ class Flags {
   }
 
  private:
+  // Parses the way the serving layer parses its parameters: the whole
+  // string, finite, and an integer within int range when `integral`. A
+  // malformed value reads as absent and records the first such error in
+  // status_, naming the flag.
+  std::optional<double> Number(const std::string& key, bool integral) {
+    const auto text = Get(key);
+    if (!text) return std::nullopt;
+    char* end = nullptr;
+    const double value = std::strtod(text->c_str(), &end);
+    if (!text->empty() && end == text->c_str() + text->size() &&
+        std::isfinite(value) &&
+        (!integral ||
+         (value == std::floor(value) &&
+          std::fabs(value) <= std::numeric_limits<int>::max()))) {
+      return value;
+    }
+    if (status_.ok()) {
+      status_ = Status::InvalidArgument(
+          "--" + key + " must be " +
+          (integral ? "an integer" : "a finite number") + ", got '" + *text +
+          "'");
+    }
+    return std::nullopt;
+  }
+
   std::map<std::string, std::string> values_;
   std::set<std::string> consumed_;
   bool ok_ = true;
   std::string bad_;
+  Status status_;
 };
 
 int Fail(const std::string& message) {
@@ -210,6 +250,7 @@ Result<Algorithm> ParseAlgorithm(const std::string& name) {
 }
 
 int CheckUnconsumed(const Flags& flags) {
+  if (!flags.status().ok()) return Fail(flags.status().ToString());
   for (const std::string& flag : flags.Unconsumed()) {
     return Fail("unknown flag " + flag);
   }
@@ -229,6 +270,9 @@ int CmdGenerate(Flags& flags) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const int pois = flags.GetInt("pois", 75);
   if (const int rc = CheckUnconsumed(flags); rc != 0) return rc;
+  std::error_code ec;
+  std::filesystem::create_directories(*out, ec);
+  if (ec) return Fail("cannot create " + *out + ": " + ec.message());
 
   Dataset ds;
   if (dataset == "office") {
@@ -273,9 +317,10 @@ struct EngineBundle {
   // when the bundle is moved out of MakeEngine.
   std::unique_ptr<LoadedDataset> data;
   std::unique_ptr<QueryEngine> engine;
-  // The config the engine was built with, kept so subcommands can reuse
-  // pieces of it (serve mirrors approx into its StreamingOptions).
-  EngineConfig config;
+  // --approx / --sample-budget: the evaluation mode the query commands
+  // put in their spec and `serve` makes its default. The engine itself
+  // has no mode; each query carries its own.
+  ApproxConfig approx;
 
   const LoadedDataset& dataset() const { return *data; }
 };
@@ -301,22 +346,17 @@ Result<EngineBundle> MakeEngine(Flags& flags) {
   if (parallel_threshold <= 0) {
     return Status::InvalidArgument("--parallel-threshold must be > 0");
   }
-  ApproxConfig approx;
+  EngineBundle bundle;
   const std::string approx_name = flags.GetOr("approx", "exact");
-  if (!ApproxModeFromName(approx_name, &approx.mode)) {
+  if (!ApproxModeFromName(approx_name, &bundle.approx.mode)) {
     return Status::InvalidArgument("--approx must be exact|sampled|adaptive");
   }
-  approx.sample_budget = flags.GetInt(
-      "sample-budget", static_cast<int>(approx.sample_budget));
-  if (approx.sample_budget < 2) {
-    // One draw has no within-sample variance, so its error bounds would
-    // be undefined; see docs/APPROXIMATION.md.
-    return Status::InvalidArgument("--sample-budget must be >= 2");
-  }
+  bundle.approx.sample_budget = flags.GetInt(
+      "sample-budget", static_cast<int>(bundle.approx.sample_budget));
+  INDOORFLOW_RETURN_IF_ERROR(flags.status());
 
   auto data = LoadDataDir(*dir);
   if (!data.ok()) return data.status();
-  EngineBundle bundle;
   bundle.data = std::make_unique<LoadedDataset>(std::move(*data));
   EngineConfig config;
   config.topology = *topology;
@@ -332,146 +372,125 @@ Result<EngineBundle> MakeEngine(Flags& flags) {
   // are bit-identical to --threads 1.
   config.threads = threads;
   config.parallel_threshold = parallel_threshold;
-  // Approximate evaluation (docs/APPROXIMATION.md): iterative top-k queries
-  // sample candidates under --approx sampled|adaptive; everything else
-  // (join, threshold, density) stays exact.
-  config.approx = approx;
-  bundle.config = config;
   bundle.engine = std::make_unique<QueryEngine>(
       bundle.data->plan, *bundle.data->graph, bundle.data->deployment,
       bundle.data->ott, bundle.data->pois, config);
   return bundle;
 }
 
-void PrintTopK(const LoadedDataset& data, const std::vector<PoiFlow>& top,
-               const QueryStats& stats) {
-  std::printf("%-6s %-24s %s\n", "poi", "name", "flow");
-  for (const PoiFlow& f : top) {
-    std::printf("%-6d %-24s %.4f\n", f.poi,
-                data.pois[static_cast<size_t>(f.poi)].name.c_str(), f.flow);
+// The shared query flags a command takes, beyond the engine's.
+struct QueryFlags {
+  bool t = false;      // --t T: a snapshot query
+  bool ts_te = false;  // --ts T --te T: an interval query
+  bool k = false;      // --k K [--metric flow|density]: top-k or density
+  bool tau = false;    // --tau F: threshold (required unless `k`)
+};
+
+// Reads a query command's flags into a spec; the evaluation mode comes
+// from MakeEngine and the spec is validated once it is complete.
+Result<QuerySpec> ParseSpec(Flags& flags, const std::string& command,
+                            QueryFlags takes) {
+  const auto t = takes.t ? flags.GetDouble("t") : std::nullopt;
+  const auto ts = takes.ts_te ? flags.GetDouble("ts") : std::nullopt;
+  const auto te = takes.ts_te ? flags.GetDouble("te") : std::nullopt;
+  const auto tau = takes.tau ? flags.GetDouble("tau") : std::nullopt;
+  const int k = takes.k ? flags.GetInt("k", 10) : 0;
+  const std::string metric = takes.k ? flags.GetOr("metric", "flow") : "";
+  auto algo = ParseAlgorithm(flags.GetOr("algo", "join"));
+  INDOORFLOW_RETURN_IF_ERROR(flags.status());
+  if (!algo.ok()) return algo.status();
+  QuerySpec spec{.algorithm = *algo};
+  if (t) {
+    spec.ts = spec.te = *t;
+  } else if (ts && te) {
+    spec.interval = true;
+    spec.ts = *ts;
+    spec.te = *te;
+  } else {
+    return Status::InvalidArgument(
+        command + " requires " +
+        (!takes.ts_te ? "--t T"
+         : !takes.t   ? "--ts T --te T"
+                      : "--t T (snapshot) or --ts/--te (interval)"));
   }
-  std::printf("# stats %s\n", stats.ToJson().c_str());
+  if (tau) {
+    spec.objective = Objective::kThreshold;
+    spec.tau = *tau;
+  } else if (!takes.k) {
+    return Status::InvalidArgument(command + " requires --tau TAU (> 0)");
+  } else if (metric == "flow" || metric == "density") {
+    spec.objective =
+        metric == "density" ? Objective::kDensity : Objective::kTopK;
+    spec.k = k;
+  } else {
+    return Status::InvalidArgument("--metric must be flow or density");
+  }
+  return spec;
 }
 
-// Estimate variant: adds the standard error and 95% interval columns so an
-// approximate answer is never mistaken for an exact one.
-void PrintTopKEstimates(const LoadedDataset& data,
-                        const std::vector<FlowEstimate>& top,
-                        const QueryStats& stats) {
-  std::printf("%-6s %-24s %-10s %-9s %s\n", "poi", "name", "flow", "stderr",
-              "ci95");
-  for (const FlowEstimate& e : top) {
-    if (e.exact) {
-      std::printf("%-6d %-24s %-10.4f %-9s exact\n", e.poi,
-                  data.pois[static_cast<size_t>(e.poi)].name.c_str(),
-                  e.value, "-");
+// Prints query rows, then the query's stats. Estimate rows add the
+// standard error and 95% interval columns so an approximate answer is
+// never mistaken for an exact one.
+void PrintRows(const LoadedDataset& data,
+               const std::vector<FlowEstimate>& rows, bool estimate,
+               const QueryStats& stats) {
+  if (estimate) {
+    std::printf("%-6s %-24s %-10s %-9s %s\n", "poi", "name", "flow",
+                "stderr", "ci95");
+  } else {
+    std::printf("%-6s %-24s %s\n", "poi", "name", "flow");
+  }
+  for (const FlowEstimate& e : rows) {
+    const char* name = data.pois[static_cast<size_t>(e.poi)].name.c_str();
+    if (!estimate) {
+      std::printf("%-6d %-24s %.4f\n", e.poi, name, e.value);
+    } else if (e.exact) {
+      std::printf("%-6d %-24s %-10.4f %-9s exact\n", e.poi, name, e.value,
+                  "-");
     } else if (!std::isfinite(e.std_err)) {
       // Degenerate (< 2 evaluated draws) estimate: the error is
       // undefined, not zero.
-      std::printf("%-6d %-24s %-10.4f %-9s undefined\n", e.poi,
-                  data.pois[static_cast<size_t>(e.poi)].name.c_str(),
+      std::printf("%-6d %-24s %-10.4f %-9s undefined\n", e.poi, name,
                   e.value, "-");
     } else {
-      std::printf("%-6d %-24s %-10.4f %-9.4f [%.4f, %.4f]\n", e.poi,
-                  data.pois[static_cast<size_t>(e.poi)].name.c_str(),
+      std::printf("%-6d %-24s %-10.4f %-9.4f [%.4f, %.4f]\n", e.poi, name,
                   e.value, e.std_err, e.ci_low, e.ci_high);
     }
   }
   std::printf("# stats %s\n", stats.ToJson().c_str());
 }
 
-int CmdSnapshot(Flags& flags) {
-  const auto t_flag = flags.Get("t");
-  if (!t_flag) return Fail("snapshot requires --t T");
-  const double t = std::atof(t_flag->c_str());
-  const int k = flags.GetInt("k", 10);
-  auto algo = ParseAlgorithm(flags.GetOr("algo", "join"));
-  if (!algo.ok()) return Fail(algo.status().ToString());
-  const std::string metric = flags.GetOr("metric", "flow");
-  if (metric != "flow" && metric != "density") {
-    return Fail("--metric must be flow or density");
+// snapshot, interval, threshold and explain: the flags into one spec, one
+// Run, then the rows — or, for explain, the query's EXPLAIN profile: its
+// per-POI pruning/evaluation verdicts instead of the rows. The full POI
+// set is always queried, so the verdict counts partition the dataset's
+// POI count.
+int CmdQuery(Flags& flags, const std::string& command, QueryFlags takes) {
+  auto spec = ParseSpec(flags, command, takes);
+  if (!spec.ok()) return Fail(spec.status().ToString());
+  const bool explain = command == "explain";
+  const std::string format = explain ? flags.GetOr("format", "text") : "";
+  if (explain && format != "text" && format != "json") {
+    return Fail("--format must be text or json");
   }
   auto bundle = MakeEngine(flags);
   if (!bundle.ok()) return Fail(bundle.status().ToString());
   if (const int rc = CheckUnconsumed(flags); rc != 0) return rc;
-  QueryStats stats;
-  if (metric == "flow" && *algo == Algorithm::kIterative &&
-      bundle->config.approx.mode != ApproxMode::kExact) {
-    const auto top = bundle->engine->SnapshotTopKEstimate(
-        t, k, bundle->config.approx, nullptr, &stats);
-    PrintTopKEstimates(bundle->dataset(), top, stats);
-    return 0;
+  spec->approx = bundle->approx;
+  if (const Status valid = ValidateQuerySpec(*spec); !valid.ok()) {
+    return Fail(valid.ToString());
   }
-  const auto top =
-      metric == "density"
-          ? bundle->engine->SnapshotDensityTopK(t, k, *algo, nullptr, &stats)
-          : bundle->engine->SnapshotTopK(t, k, *algo, nullptr, &stats);
-  PrintTopK(bundle->dataset(), top, stats);
-  return 0;
-}
-
-int CmdInterval(Flags& flags) {
-  const auto ts_flag = flags.Get("ts");
-  const auto te_flag = flags.Get("te");
-  if (!ts_flag || !te_flag) return Fail("interval requires --ts T --te T");
-  const double ts = std::atof(ts_flag->c_str());
-  const double te = std::atof(te_flag->c_str());
-  const int k = flags.GetInt("k", 10);
-  auto algo = ParseAlgorithm(flags.GetOr("algo", "join"));
-  if (!algo.ok()) return Fail(algo.status().ToString());
-  const std::string metric = flags.GetOr("metric", "flow");
-  if (metric != "flow" && metric != "density") {
-    return Fail("--metric must be flow or density");
-  }
-  if (te < ts) return Fail("--te must be >= --ts");
-  auto bundle = MakeEngine(flags);
-  if (!bundle.ok()) return Fail(bundle.status().ToString());
-  if (const int rc = CheckUnconsumed(flags); rc != 0) return rc;
   QueryStats stats;
-  if (metric == "flow" && *algo == Algorithm::kIterative &&
-      bundle->config.approx.mode != ApproxMode::kExact) {
-    const auto top = bundle->engine->IntervalTopKEstimate(
-        ts, te, k, bundle->config.approx, nullptr, &stats);
-    PrintTopKEstimates(bundle->dataset(), top, stats);
-    return 0;
-  }
-  const auto top =
-      metric == "density"
-          ? bundle->engine->IntervalDensityTopK(ts, te, k, *algo, nullptr,
-                                                &stats)
-          : bundle->engine->IntervalTopK(ts, te, k, *algo, nullptr, &stats);
-  PrintTopK(bundle->dataset(), top, stats);
-  return 0;
-}
-
-int CmdThreshold(Flags& flags) {
-  const auto tau_flag = flags.Get("tau");
-  if (!tau_flag) return Fail("threshold requires --tau TAU (> 0)");
-  const double tau = std::atof(tau_flag->c_str());
-  if (tau <= 0.0) return Fail("--tau must be > 0");
-  auto algo = ParseAlgorithm(flags.GetOr("algo", "join"));
-  if (!algo.ok()) return Fail(algo.status().ToString());
-  const auto t_flag = flags.Get("t");
-  const auto ts_flag = flags.Get("ts");
-  const auto te_flag = flags.Get("te");
-  auto bundle = MakeEngine(flags);
-  if (!bundle.ok()) return Fail(bundle.status().ToString());
-  if (const int rc = CheckUnconsumed(flags); rc != 0) return rc;
-  QueryStats stats;
-  std::vector<PoiFlow> hot;
-  if (t_flag) {
-    hot = bundle->engine->SnapshotThreshold(std::atof(t_flag->c_str()), tau,
-                                            *algo, nullptr, &stats);
-  } else if (ts_flag && te_flag) {
-    const double ts = std::atof(ts_flag->c_str());
-    const double te = std::atof(te_flag->c_str());
-    if (te < ts) return Fail("--te must be >= --ts");
-    hot = bundle->engine->IntervalThreshold(ts, te, tau, *algo, nullptr,
-                                            &stats);
+  QueryProfile profile;  // detail stays true: full EXPLAIN
+  const auto rows = bundle->engine->Run(
+      *spec, {&stats, explain ? &profile : nullptr, nullptr});
+  if (!explain) {
+    PrintRows(bundle->dataset(), rows, IsEstimate(*spec), stats);
+  } else if (format == "json") {
+    std::printf("%s\n", profile.ToJson().c_str());
   } else {
-    return Fail("threshold requires --t T (snapshot) or --ts/--te (interval)");
+    std::fputs(profile.ToText().c_str(), stdout);
   }
-  PrintTopK(bundle->dataset(), hot, stats);
   return 0;
 }
 
@@ -526,6 +545,18 @@ int CmdTimeline(Flags& flags) {
   return 0;
 }
 
+// One probe round at `t`, shaped like `spec`: a snapshot query at t, then
+// an interval query over [t - 60, t + 60] clamped to the span [t0, t1].
+void ProbeAt(const QueryEngine& engine, QuerySpec spec, Timestamp t,
+             Timestamp t0, Timestamp t1) {
+  spec.ts = spec.te = t;
+  engine.Run(spec);
+  spec.interval = true;
+  spec.ts = std::max(t0, t - 60.0);
+  spec.te = std::min(t1, t + 60.0);
+  engine.Run(spec);
+}
+
 // Machine-readable dataset summary plus the process metrics registry as one
 // JSON object. A small warm-up workload (snapshot + interval top-k with both
 // algorithms, spread over the observation span) populates the per-phase
@@ -556,9 +587,9 @@ int CmdStats(Flags& flags) {
           t0 + (t1 - t0) * (static_cast<double>(i) + 0.5) / warmup;
       for (const Algorithm algo :
            {Algorithm::kIterative, Algorithm::kJoin}) {
-        bundle->engine->SnapshotTopK(t, 10, algo);
-        bundle->engine->IntervalTopK(std::max(t0, t - 60.0),
-                                     std::min(t1, t + 60.0), 10, algo);
+        ProbeAt(*bundle->engine,
+                {.algorithm = algo, .k = 10, .approx = bundle->approx}, t,
+                t0, t1);
       }
     }
   }
@@ -575,76 +606,6 @@ int CmdStats(Flags& flags) {
       data.ott.has_overlaps() ? "true" : "false", data.ott.min_time(),
       data.ott.max_time(), avg_record,
       MetricsRegistry::Default().DumpJson().c_str());
-  return 0;
-}
-
-// EXPLAIN: run one query with a QueryProfile attached and render the
-// pruning/evaluation profile instead of the result rows. The full POI set
-// is always queried, so the per-POI verdict counts partition the dataset's
-// POI count. --tau switches from top-k to the threshold variant.
-int CmdExplain(Flags& flags) {
-  const auto t_flag = flags.Get("t");
-  const auto ts_flag = flags.Get("ts");
-  const auto te_flag = flags.Get("te");
-  const int k = flags.GetInt("k", 10);
-  const double tau = flags.GetDouble("tau", 0.0);
-  const std::string format = flags.GetOr("format", "text");
-  if (format != "text" && format != "json") {
-    return Fail("--format must be text or json");
-  }
-  auto algo = ParseAlgorithm(flags.GetOr("algo", "join"));
-  if (!algo.ok()) return Fail(algo.status().ToString());
-  const std::string metric = flags.GetOr("metric", "flow");
-  if (metric != "flow" && metric != "density") {
-    return Fail("--metric must be flow or density");
-  }
-  auto bundle = MakeEngine(flags);
-  if (!bundle.ok()) return Fail(bundle.status().ToString());
-  if (const int rc = CheckUnconsumed(flags); rc != 0) return rc;
-
-  QueryStats stats;
-  QueryProfile profile;  // detail stays true: full EXPLAIN
-  if (t_flag) {
-    const double t = std::atof(t_flag->c_str());
-    if (tau > 0.0) {
-      bundle->engine->SnapshotThreshold(t, tau, *algo, nullptr, &stats,
-                                        &profile);
-    } else if (metric == "density") {
-      bundle->engine->SnapshotDensityTopK(t, k, *algo, nullptr, &stats,
-                                          &profile);
-    } else if (*algo == Algorithm::kIterative &&
-               bundle->config.approx.mode != ApproxMode::kExact) {
-      bundle->engine->SnapshotTopKEstimate(t, k, bundle->config.approx,
-                                           nullptr, &stats, &profile);
-    } else {
-      bundle->engine->SnapshotTopK(t, k, *algo, nullptr, &stats, &profile);
-    }
-  } else if (ts_flag && te_flag) {
-    const double ts = std::atof(ts_flag->c_str());
-    const double te = std::atof(te_flag->c_str());
-    if (te < ts) return Fail("--te must be >= --ts");
-    if (tau > 0.0) {
-      bundle->engine->IntervalThreshold(ts, te, tau, *algo, nullptr, &stats,
-                                        &profile);
-    } else if (metric == "density") {
-      bundle->engine->IntervalDensityTopK(ts, te, k, *algo, nullptr, &stats,
-                                          &profile);
-    } else if (*algo == Algorithm::kIterative &&
-               bundle->config.approx.mode != ApproxMode::kExact) {
-      bundle->engine->IntervalTopKEstimate(ts, te, k, bundle->config.approx,
-                                           nullptr, &stats, &profile);
-    } else {
-      bundle->engine->IntervalTopK(ts, te, k, *algo, nullptr, &stats,
-                                   &profile);
-    }
-  } else {
-    return Fail("explain requires --t T (snapshot) or --ts/--te (interval)");
-  }
-  if (format == "json") {
-    std::printf("%s\n", profile.ToJson().c_str());
-  } else {
-    std::fputs(profile.ToText().c_str(), stdout);
-  }
   return 0;
 }
 
@@ -826,9 +787,14 @@ int CmdServe(Flags& flags) {
   if (service_options.degrade_depth < 0) {
     return Fail("--degrade-depth must be >= 0 (0 disables)");
   }
-  // The service shares the engine-wide default evaluation mode; requests
-  // may still override it per query with approx= / sample_budget=.
-  service_options.approx = bundle->config.approx;
+  // --approx is the service's default evaluation mode (requests may
+  // still override it per query with approx= / sample_budget=), and the
+  // probes below run in it too.
+  service_options.approx = bundle->approx;
+  QuerySpec sweep{.k = k, .approx = bundle->approx};
+  if (const Status valid = ValidateQuerySpec(sweep); !valid.ok()) {
+    return Fail(valid.ToString());
+  }
   const LoadedDataset& data = bundle->dataset();
   if (data.ott.empty()) return Fail("dataset has no tracking records");
 
@@ -845,9 +811,6 @@ int CmdServe(Flags& flags) {
     StreamingOptions stream_options;
     stream_options.vmax = flags.GetDouble("vmax", 1.1);
     stream_options.shards = stream_shards;
-    // /query/live inherits the engine-wide approximation config, so
-    // --approx sampled|adaptive also samples continuous top-k polls.
-    stream_options.approx = bundle->config.approx;
     // Never expire the replayed history: the probe and clients may query
     // any timestamp in the observation span.
     stream_options.expiry_seconds =
@@ -903,14 +866,14 @@ int CmdServe(Flags& flags) {
   while (duration <= 0.0 || std::chrono::steady_clock::now() < deadline) {
     if (probe == "on") {
       const double t = t0 + (t1 - t0) * ((rounds % 16) + 0.5) / 16.0;
-      const Algorithm algo =
+      sweep.algorithm =
           rounds % 2 == 0 ? Algorithm::kJoin : Algorithm::kIterative;
-      bundle->engine->SnapshotTopK(t, k, algo);
-      bundle->engine->IntervalTopK(std::max(t0, t - 60.0),
-                                   std::min(t1, t + 60.0), k, algo);
+      ProbeAt(*bundle->engine, sweep, t, t0, t1);
       // Keep the streaming.* metrics turning over too (the first poll at
       // an unchanged stream clock recomputes; later ones reuse tallies).
-      if (monitor != nullptr) monitor->CurrentTopK(monitor->now(), k);
+      if (monitor != nullptr) {
+        monitor->CurrentTopKEstimate(monitor->now(), k, bundle->approx);
+      }
       ++rounds;
     }
     std::this_thread::sleep_for(std::chrono::duration<double>(interval));
@@ -974,13 +937,22 @@ int Usage() {
 
 int Dispatch(const std::string& command, Flags& flags) {
   if (command == "generate") return CmdGenerate(flags);
-  if (command == "snapshot") return CmdSnapshot(flags);
-  if (command == "interval") return CmdInterval(flags);
-  if (command == "threshold") return CmdThreshold(flags);
+  if (command == "snapshot") {
+    return CmdQuery(flags, command, {.t = true, .k = true});
+  }
+  if (command == "interval") {
+    return CmdQuery(flags, command, {.ts_te = true, .k = true});
+  }
+  if (command == "threshold") {
+    return CmdQuery(flags, command, {.t = true, .ts_te = true, .tau = true});
+  }
   if (command == "itinerary") return CmdItinerary(flags);
   if (command == "timeline") return CmdTimeline(flags);
   if (command == "stats") return CmdStats(flags);
-  if (command == "explain") return CmdExplain(flags);
+  if (command == "explain") {
+    return CmdQuery(flags, command,
+                    {.t = true, .ts_te = true, .k = true, .tau = true});
+  }
   if (command == "serve") return CmdServe(flags);
   if (command == "report") return CmdReport(flags);
   if (command == "cleanse") return CmdCleanse(flags);
