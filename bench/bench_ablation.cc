@@ -34,6 +34,7 @@ void BM_Ablation_SubMbrs(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
   const Dataset& data = Data();
   EngineConfig config;
+  config.threads = 1;  // serial, like bench::EngineFor
   config.topology = TopologyMode::kOff;
   config.interval_sub_mbrs = enabled;
   const QueryEngine engine(data, config);
@@ -132,6 +133,7 @@ void BM_Ablation_ThresholdQuery(benchmark::State& state) {
   const bool area_bounds = state.range(2) != 0;
   const Dataset& data = Data();
   EngineConfig config;
+  config.threads = 1;  // serial, like bench::EngineFor
   config.join_area_bounds = area_bounds;
   const QueryEngine engine(data, config);
   const Timestamp t = bench::SnapshotTime(data);
@@ -207,6 +209,7 @@ void BM_Ablation_AreaBounds(benchmark::State& state) {
   const int k = static_cast<int>(state.range(1));
   const Dataset& data = Data();
   EngineConfig config;
+  config.threads = 1;  // serial, like bench::EngineFor
   config.join_area_bounds = enabled;
   const QueryEngine engine(data, config);
   const std::vector<PoiId> subset =

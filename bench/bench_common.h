@@ -102,7 +102,9 @@ inline const Dataset& CphData() {
 }
 
 /// Engine cache keyed by dataset pointer (datasets above are stable). The
-/// default topology mode is the paper's partition-level check.
+/// default topology mode is the paper's partition-level check. Serial
+/// (threads = 1): the paper's figures compare algorithms on one core, and
+/// bench/baseline.json records them that way.
 inline const QueryEngine& EngineFor(
     const Dataset& dataset, TopologyMode mode = TopologyMode::kPartition) {
   static auto* cache =
@@ -112,6 +114,7 @@ inline const QueryEngine& EngineFor(
   auto it = cache->find(key);
   if (it == cache->end()) {
     EngineConfig config;
+    config.threads = 1;
     config.topology = mode;
     it = cache
              ->emplace(key,

@@ -63,6 +63,7 @@ const QueryEngine& CachedEngineFor(const Dataset& data) {
   auto it = cache->find(&data);
   if (it == cache->end()) {
     EngineConfig config;
+    config.threads = 1;  // serial, like EngineFor
     config.topology = TopologyMode::kPartition;
     config.ur_cache.enabled = true;
     it = cache->emplace(&data, std::make_unique<QueryEngine>(data, config))

@@ -1,6 +1,7 @@
 #include "src/common/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <memory>
@@ -43,6 +44,10 @@ struct BatchState {
   CondVar done_cv;
   size_t n = 0;
   size_t lanes = 0;
+  // The one index cursor every lane draws from. It only hands out
+  // distinct indices; results are published by the `pending` handshake
+  // under `mu`.
+  std::atomic<size_t> next_index{0};
   size_t next_lane INDOORFLOW_GUARDED_BY(mu) = 0;
   size_t pending INDOORFLOW_GUARDED_BY(mu) = 0;
   std::function<void(size_t)> fn;
@@ -52,10 +57,19 @@ struct BatchState {
   const Span* span_parent = nullptr;
 };
 
-// Claims strided lanes off `state` until none remain. Runs on the calling
-// thread *and* on pool workers; the caller's participation is what makes
-// nested ParallelFor deadlock-free (progress never depends on a free
-// worker).
+// Runs fn on indices drawn from the shared cursor until it runs dry.
+void DrainIndices(BatchState& state) {
+  for (size_t i = state.next_index++; i < state.n; i = state.next_index++) {
+    state.fn(i);
+  }
+}
+
+// Claims lanes off `state` until none remain, each lane draining the
+// shared index cursor. Runs on the calling thread *and* on pool workers;
+// the caller's participation is what makes nested ParallelFor
+// deadlock-free (progress never depends on a free worker). Once the
+// cursor is dry, the lanes still unclaimed close at once, so the caller
+// never waits on a helper that has not started.
 void RunLanes(BatchState& state) {
   for (;;) {
     size_t lane;
@@ -65,13 +79,11 @@ void RunLanes(BatchState& state) {
       lane = state.next_lane++;
     }
     if (state.span_parent != nullptr) {
-      // One child span per lane; recording happens outside the batch
-      // lock (trace rank sits below executor, but the strided loop runs
-      // unlocked anyway).
+      // One child span per lane, recorded outside the batch lock.
       Span lane_span(state.span_parent, "lane " + std::to_string(lane));
-      for (size_t i = lane; i < state.n; i += state.lanes) state.fn(i);
+      DrainIndices(state);
     } else {
-      for (size_t i = lane; i < state.n; i += state.lanes) state.fn(i);
+      DrainIndices(state);
     }
     MutexLock lock(state.mu);
     if (--state.pending == 0) state.done_cv.NotifyAll();
@@ -194,7 +206,8 @@ int Executor::ParallelFor(size_t n, int parallelism,
   }
   // The caller covers one lane itself, so at most lanes - 1 helpers are
   // useful; beyond worker_count_ they would only queue up behind each
-  // other.
+  // other. A helper that starts after the caller drained the cursor finds
+  // every lane closed and returns at once.
   const int helpers =
       std::min(static_cast<int>(lanes) - 1, worker_count_);
   for (int i = 0; i < helpers; ++i) {

@@ -7,12 +7,18 @@
 // concurrency under multi-tenant load (one pool-size cap instead of one
 // thread herd per call) and amortizes thread creation across queries.
 //
-// Determinism contract: ParallelFor partitions [0, n) into `lanes`
-// deterministic strided lanes (lane w handles w, w + lanes, w + 2*lanes,
-// ...). Which OS thread executes a lane is scheduling-dependent, but the
-// index set per lane is not — so callers that write per-index slots and
-// reduce them in index order afterwards produce bit-identical results to
-// a serial run (the pattern the query paths use; enforced by
+// Work distribution: ParallelFor hands indices out from one shared
+// cursor, so whichever lane is free takes the next index. A lane that
+// draws a few expensive indices does not hold up the rest of the section,
+// and a helper that starts late takes whatever is left. On a busy pool
+// (a loaded query service, an outer ParallelFor) the caller drains the
+// cursor itself; helpers that start after that find nothing left to do.
+//
+// Determinism contract: which thread runs which index is
+// scheduling-dependent, so no lane owns a fixed index set. Results stay
+// deterministic because callers write per-index slots and reduce them in
+// index order afterwards; that is bit-identical to a serial run (the
+// pattern the query paths use; enforced by
 // tests/parallel_differential_test.cc).
 //
 // Deadlock freedom under nesting: the caller of ParallelFor participates —
@@ -87,14 +93,16 @@ class Executor {
   /// above). `fn` must be safe to invoke concurrently from multiple
   /// threads for distinct indices; each index runs exactly once.
   ///
-  /// Returns the number of lanes actually used (>= 1); 1 means the loop
-  /// ran serially.
+  /// Returns the number of lanes the section was split into,
+  /// min(parallelism, n) and at least 1; 1 means the loop ran serially.
+  /// Fewer threads may take part when the pool is busy.
   ///
   /// When `span_parent` is an active request span (src/common/trace.h),
   /// every lane — including the serial fallback — records one child span
-  /// ("lane <w>") covering its strided index set, so a request trace
-  /// attributes time to the parallel fan-out. Null (the default, and
-  /// every unsampled request) costs one pointer compare per lane.
+  /// ("lane <w>") covering the indices it drew from the shared cursor; a
+  /// lane claimed after the cursor ran dry records an empty span. Null
+  /// (the default, and every unsampled request) costs one pointer
+  /// compare per lane.
   int ParallelFor(size_t n, int parallelism,
                   const std::function<void(size_t)>& fn,
                   const Span* span_parent = nullptr);

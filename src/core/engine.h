@@ -60,16 +60,19 @@ struct EngineConfig {
   /// fixed-timestamp pollers share one cache per engine. See
   /// docs/TUNING.md for sizing.
   UrCacheConfig ur_cache;
-  /// Worker lanes for intra-query parallelism: when > 1 (or <= 0 =
-  /// hardware concurrency, via Executor::ResolveThreads), the per-object
-  /// UR-derivation + presence-integration loops fan across the shared
-  /// process-wide executor (src/common/executor.h) once a query touches at
-  /// least `parallel_threshold` candidate objects. The default of 1 keeps
-  /// single queries fully serial (SnapshotTopKBatch has its own knob).
-  /// Parallel and serial runs return bit-identical flows and rankings —
-  /// each parallel section is a per-object map plus an ordered reduce —
-  /// enforced by tests/parallel_differential_test.cc.
-  int threads = 1;
+  /// Worker lanes for intra-query parallelism. The default of 0 means
+  /// the full width of the shared process-wide executor
+  /// (src/common/executor.h): lanes = hardware concurrency, via
+  /// Executor::ResolveThreads, run by the query's own thread plus the
+  /// pool workers free to help. The per-object UR-derivation +
+  /// presence-integration loops fan out once a query touches at least
+  /// `parallel_threshold` candidate objects. 1 keeps queries fully
+  /// serial; N > 1 caps the lanes at N. SnapshotTopKBatch has its
+  /// own knob. Parallel and serial runs return bit-identical flows,
+  /// rankings, EXPLAIN and work counters — each parallel section is a
+  /// per-object map plus an ordered reduce — enforced by
+  /// tests/parallel_differential_test.cc.
+  int threads = 0;
   /// Minimum candidate-object count before a query section fans out;
   /// below it the scheduling overhead outweighs the win. See
   /// docs/TUNING.md for measured guidance.
@@ -135,8 +138,8 @@ class QueryEngine {
   ///
   /// Thread safety: safe to call concurrently with any other const method.
   /// Determinism: results are a pure function of the inputs (sampling
-  /// included, for a fixed spec.approx.seed) — with EngineConfig::threads
-  /// > 1 the per-object work may fan across the shared executor, but flows
+  /// included, for a fixed spec.approx.seed) — unless EngineConfig::threads
+  /// is 1 the per-object work may fan across the shared executor, but flows
   /// and rankings stay bit-identical to a serial run (parallel map,
   /// ordered reduce).
   std::vector<FlowEstimate> Run(const QuerySpec& spec,

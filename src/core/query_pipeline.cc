@@ -285,19 +285,25 @@ void BookTally(const QueryContext& ctx, const ObjectTally& tally,
   }
 }
 
+// Whether RunObjects fans a section of n objects across the executor.
+bool FansOut(const QueryContext& ctx, size_t n) {
+  return ctx.executor != nullptr && ctx.threads > 1 &&
+         n >= static_cast<size_t>(ctx.parallel_threshold);
+}
+
 // Runs `evaluate(i, &tally)` then `book(i, tally)` for i in [0, n). A
 // serial context, or a section below ctx.parallel_threshold, interleaves
 // the two per object on this thread and records no fan-out. Otherwise
-// `evaluate` fans across the executor into private tallies and the
-// bookings follow in index order. One sticky deadline/cancel poll per
-// object (src/common/deadline.h): a tripped poll ends the serial loop and
-// leaves the remaining parallel tallies empty, so they book nothing; the
-// caller discards the partial result once control->Aborted() reports it.
+// `evaluate` fans across the executor into one private tally per index
+// (any lane may take any index) and the bookings follow in index order.
+// One sticky deadline/cancel poll per object (src/common/deadline.h): a
+// tripped poll ends the serial loop and leaves the remaining parallel
+// tallies empty, so they book nothing; the caller discards the partial
+// result once control->Aborted() reports it.
 template <typename Evaluate, typename Book>
 void RunObjects(const QueryContext& ctx, size_t n, const Evaluate& evaluate,
                 const Book& book) {
-  if (ctx.executor == nullptr || ctx.threads <= 1 ||
-      n < static_cast<size_t>(ctx.parallel_threshold)) {
+  if (!FansOut(ctx, n)) {
     ObjectTally tally;
     for (size_t i = 0; i < n && !QueryAborted(ctx); ++i) {
       tally.Clear();
@@ -377,13 +383,13 @@ std::vector<PoiFlow> RunJoin(const QueryContext& ctx, const RTree& poi_tree,
                              const std::vector<PoiId>& ids,
                              const QuerySpec& spec) {
   const Candidates candidates(ctx, spec);
-  // Everything after the retriever is join work; the derive/presence time
-  // booked during the traversal is subtracted at the end so topk_ns covers
-  // only the R_I build plus the priority traversal itself.
+  // Everything after the retriever is join work; the wall time spent in
+  // leaf lists (all of the join's derive and presence work) is subtracted
+  // at the end so topk_ns covers only the R_I build plus the priority
+  // traversal itself.
   QueryStats* const stats = ctx.stats;
   const int64_t join_start = stats != nullptr ? MonotonicNowNs() : 0;
-  const int64_t derive_before = stats != nullptr ? stats->derive_ns : 0;
-  const int64_t presence_before = stats != nullptr ? stats->presence_ns : 0;
+  int64_t leaf_ns = 0;
   std::vector<AggregateRTree::ObjectEntry> objects;
   std::vector<size_t> slot_candidates;  // R_I slot -> candidate index
   objects.reserve(candidates.size());
@@ -407,19 +413,28 @@ std::vector<PoiFlow> RunJoin(const QueryContext& ctx, const RTree& poi_tree,
   join.poi_areas = ctx.poi_areas;
   join.leaf_presences = [&](const std::vector<int32_t>& slots, PoiId poi,
                             std::vector<double>* out) {
-    // Timed per leaf; the derive time booked inside is subtracted.
+    // A serial leaf is timed as a whole and the derive time booked inside
+    // is subtracted. A fanned leaf times each object instead, so its
+    // presence_ns sums per-worker time like its derive_ns does.
     const int64_t leaf_start = stats != nullptr ? MonotonicNowNs() : 0;
     const int64_t leaf_derive = stats != nullptr ? stats->derive_ns : 0;
+    const bool fanned = FansOut(ctx, slots.size());
     out->assign(slots.size(), 0.0);
     RunObjects(
         ctx, slots.size(),
         [&](size_t i, ObjectTally* tally) {
+          const bool timed = fanned && stats != nullptr;
+          const int64_t start = timed ? MonotonicNowNs() : 0;
           const std::optional<ObjectUr>& entry =
               hu[static_cast<size_t>(slots[i])];
           EvaluateObject(ctx, candidates,
                          slot_candidates[static_cast<size_t>(slots[i])],
                          entry.has_value() ? &*entry : nullptr, nullptr, poi,
                          tally);
+          if (timed) {
+            tally->presence_ns =
+                MonotonicNowNs() - start - tally->derive_ns;
+          }
         },
         [&](size_t i, ObjectTally& tally) {
           BookTally(ctx, tally, nullptr, nullptr);
@@ -430,8 +445,9 @@ std::vector<PoiFlow> RunJoin(const QueryContext& ctx, const RTree& poi_tree,
         });
     if (stats != nullptr) {
       const int64_t span = MonotonicNowNs() - leaf_start;
+      leaf_ns += span;
       const int64_t derived = stats->derive_ns - leaf_derive;
-      stats->presence_ns += span > derived ? span - derived : 0;
+      if (!fanned) stats->presence_ns += span > derived ? span - derived : 0;
     }
   };
   join.stats = stats;
@@ -445,9 +461,7 @@ std::vector<PoiFlow> RunJoin(const QueryContext& ctx, const RTree& poi_tree,
           : PriorityJoinTopK(join, spec.k, ids);
   if (stats != nullptr) {
     const int64_t span = MonotonicNowNs() - join_start;
-    const int64_t inner = (stats->derive_ns - derive_before) +
-                          (stats->presence_ns - presence_before);
-    stats->topk_ns += span > inner ? span - inner : 0;
+    stats->topk_ns += span > leaf_ns ? span - leaf_ns : 0;
   }
   return result;
 }

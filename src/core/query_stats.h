@@ -39,6 +39,8 @@ struct QueryStats {
   /// Executor lanes fanned out by parallel sections of this query (0 when
   /// the query ran fully serially). When a query runs several parallel
   /// sections (e.g. multiple join batch rounds), this sums their lanes.
+  /// Lanes are the sections' width: on a busy pool fewer threads run
+  /// them (src/common/executor.h).
   int64_t parallel_tasks = 0;
   /// Wall time spent inside parallel sections (ns). Unlike derive_ns /
   /// presence_ns — which sum *per-worker* time and can exceed wall time

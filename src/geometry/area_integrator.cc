@@ -64,7 +64,11 @@ AreaEstimate AreaOfIntersection(const Region& a, const Region& b,
   if (root.Empty() || root.Area() <= 0.0) return result;
   if (TryExactArea(a, b, &result)) return result;
 
+  // Two scratch buffers per call, swapped level by level: the boundary
+  // cells being split and the next level's. Per call, not shared, since
+  // several executor lanes integrate at once.
   std::vector<Box> boundary;
+  std::vector<Box> next;
   switch (ClassifyIntersection(a, b, root)) {
     case BoxClass::kInside:
       result.area = root.Area();
@@ -82,7 +86,7 @@ AreaEstimate AreaOfIntersection(const Region& a, const Region& b,
        ++depth) {
     if (boundary_area * 0.5 <= options.abs_tolerance) break;
     if (cells >= options.max_cells) break;
-    std::vector<Box> next;
+    next.clear();
     next.reserve(boundary.size() * 2);
     boundary_area = 0.0;
     for (const Box& cell : boundary) {
@@ -108,7 +112,7 @@ AreaEstimate AreaOfIntersection(const Region& a, const Region& b,
         }
       }
     }
-    boundary = std::move(next);
+    boundary.swap(next);
   }
 
   // Remaining boundary cells: midpoint-free half-area rule, which makes the

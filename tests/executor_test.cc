@@ -4,6 +4,7 @@
 // engine queries racing on a hot pool with forced intra-query parallelism.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -122,6 +123,63 @@ TEST(ExecutorTest, PrivatePoolRunsBatches) {
     counts[i].fetch_add(1);
   });
   EXPECT_EQ(lanes, 8);
+  for (auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
+// Indices are claimed from one shared cursor, not fixed strided lanes: an
+// index that waits until every other index of its own section has run
+// completes as long as a second lane takes part. Under strided lanes
+// index 0 would wait on index 2 of its own lane forever; the timeout
+// turns that into a failure instead of a hang.
+TEST(ExecutorTest, IndexWaitingOnTheRestOfItsSectionCompletes) {
+  Executor pool(2);
+  constexpr size_t kN = 16;
+  std::atomic<size_t> others_done{0};
+  std::atomic<bool> index0_saw_all{false};
+  pool.ParallelFor(kN, 2, [&](size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others_done.load() < kN - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    index0_saw_all.store(others_done.load() == kN - 1);
+  });
+  EXPECT_TRUE(index0_saw_all.load());
+  EXPECT_EQ(others_done.load(), kN - 1);
+}
+
+// On a pool whose only worker is busy, the caller drains the whole section
+// itself and returns without waiting for its queued helper to start; the
+// helper later finds every lane closed.
+TEST(ExecutorTest, BusyPoolSectionCompletesOnCaller) {
+  Executor pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  pool.Submit([&] {
+    started.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  while (!started.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> counts(100);
+  for (auto& c : counts) c.store(0);
+  std::atomic<int> off_caller{0};
+  const int lanes = pool.ParallelFor(counts.size(), 4, [&](size_t i) {
+    counts[i].fetch_add(1);
+    if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+  });
+  EXPECT_EQ(off_caller.load(), 0);
+  release.store(true);
+  EXPECT_EQ(lanes, 4);
   for (auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 

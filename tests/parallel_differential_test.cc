@@ -4,7 +4,9 @@
 // serial one for every query method, both algorithms and the sampled
 // estimates, with and without the cross-query UR cache — across several
 // dataset seeds and at two parallel thresholds (1 forces every section
-// parallel; 8 also sends small join leaf lists down the one-lane path).
+// parallel; 8 also sends small join leaf lists down the one-lane path),
+// under exact topology checking too, and for the default EngineConfig
+// (which fans out) against threads = 1.
 // This is the enforcement half of the determinism contract documented on
 // QueryEngine::SnapshotTopK and on the per-object evaluation kernel in
 // src/core/query_pipeline.cc.
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/executor.h"
 #include "src/core/engine.h"
 #include "src/core/flow_matrix.h"
 #include "src/core/query_profile.h"
@@ -44,6 +47,8 @@ void ExpectSameWork(const QueryStats& serial, const QueryStats& parallel,
       << what;
   EXPECT_EQ(serial.pois_evaluated, parallel.pois_evaluated) << what;
   EXPECT_EQ(serial.ur_cache_hits, parallel.ur_cache_hits) << what;
+  EXPECT_EQ(serial.sample_population, parallel.sample_population) << what;
+  EXPECT_EQ(serial.sample_size, parallel.sample_size) << what;
 }
 
 // EXPLAIN must not depend on who computed what either: each POI's verdict,
@@ -86,9 +91,9 @@ void ExpectSameEstimates(const std::vector<FlowEstimate>& serial,
   }
 }
 
-Dataset MakeDataset(uint64_t seed) {
+Dataset MakeDataset(uint64_t seed, int num_objects = 12) {
   OfficeDatasetConfig config;
-  config.num_objects = 12;
+  config.num_objects = num_objects;
   config.duration = 900.0;
   config.seed = seed;
   return GenerateOfficeDataset(config);
@@ -96,11 +101,13 @@ Dataset MakeDataset(uint64_t seed) {
 
 // parallel_threshold = 1 forces every parallel section when threads > 1;
 // larger values leave sections below it (small join leaf lists) serial.
-std::unique_ptr<QueryEngine> MakeEngine(const Dataset& dataset, int threads,
-                                        bool cache,
-                                        int parallel_threshold = 1) {
+std::unique_ptr<QueryEngine> MakeEngine(
+    const Dataset& dataset, int threads, bool cache,
+    int parallel_threshold = 1,
+    TopologyMode topology = EngineConfig{}.topology) {
   EngineConfig config;
   config.threads = threads;
+  config.topology = topology;
   config.parallel_threshold = parallel_threshold;
   config.ur_cache.enabled = cache;
   return std::make_unique<QueryEngine>(dataset, config);
@@ -292,6 +299,55 @@ TEST(ParallelDifferentialTest, BitIdenticalWithUrCache) {
     RunMatrix(*serial, *parallel);
     // Second pass hits the warm cache.
     RunMatrix(*serial, *parallel);
+  }
+}
+
+// Exact topology checking runs its reachability scratch per thread
+// (src/core/topology_check.cc); parallel lanes must still agree with a
+// serial engine bit for bit.
+TEST(ParallelDifferentialTest, BitIdenticalWithExactTopology) {
+  const Dataset dataset = MakeDataset(321);
+  const auto serial =
+      MakeEngine(dataset, 1, /*cache=*/false, 1, TopologyMode::kExact);
+  const auto parallel =
+      MakeEngine(dataset, 8, /*cache=*/false, 1, TopologyMode::kExact);
+  RunMatrix(*serial, *parallel);
+}
+
+// The default EngineConfig fans out (threads = 0: the executor's full
+// width, default parallel_threshold) and must still match a serial engine
+// row for row, in EXPLAIN and in every work counter. Enough objects that
+// iterative sections clear the default threshold.
+TEST(ParallelDifferentialTest, DefaultConfigMatchesSerial) {
+  const Dataset dataset = MakeDataset(7, /*num_objects=*/100);
+  EngineConfig serial_config;
+  serial_config.threads = 1;
+  const QueryEngine serial(dataset, serial_config);
+  const QueryEngine fanned(dataset, EngineConfig{});
+  RunMatrix(serial, fanned);
+  if (Executor::ResolveThreads(EngineConfig{}.threads) > 1) {
+    QueryStats stats;
+    fanned.IntervalTopK(300.0, 600.0, 6, Algorithm::kIterative, nullptr,
+                        &stats);
+    EXPECT_GT(stats.parallel_tasks, 0);
+  }
+}
+
+// A default-config join fans its long leaf lists out, and its phase times
+// stay meaningful: presence_ns sums per-worker presence time and topk_ns
+// is the traversal's wall time outside the leaf lists, neither reading 0.
+TEST(ParallelDifferentialTest, DefaultConfigJoinBooksPhaseTimes) {
+  const Dataset dataset = MakeDataset(7, /*num_objects=*/100);
+  const QueryEngine engine(dataset, EngineConfig{});
+  QueryStats stats;
+  engine.IntervalTopK(0.0, 900.0, 6, Algorithm::kJoin, nullptr, &stats);
+  ASSERT_GT(stats.regions_derived, 0);
+  ASSERT_GT(stats.presence_evaluations, 0);
+  EXPECT_GT(stats.derive_ns, 0);
+  EXPECT_GT(stats.presence_ns, 0);
+  EXPECT_GT(stats.topk_ns, 0);
+  if (Executor::ResolveThreads(EngineConfig{}.threads) > 1) {
+    EXPECT_GT(stats.parallel_tasks, 0);
   }
 }
 

@@ -32,7 +32,8 @@
 // --cache on|off [--cache-mb N] [--cache-shards N] — the cross-query
 // uncertainty-region cache (src/core/ur_cache.h, docs/TUNING.md) —
 // --threads N [--parallel-threshold N] — intra-query fan-out across the
-// shared executor (src/common/executor.h, docs/TUNING.md) — and
+// shared executor, on by default, --threads 1 for serial
+// (src/common/executor.h, docs/TUNING.md) — and
 // --approx exact|sampled|adaptive [--sample-budget N] — the evaluation
 // mode the query commands put in their QuerySpec and `serve` makes its
 // default: sampling-based approximate evaluation for iterative flow top-k
@@ -341,7 +342,7 @@ Result<EngineBundle> MakeEngine(Flags& flags) {
   if (cache_shards <= 0) {
     return Status::InvalidArgument("--cache-shards must be > 0");
   }
-  const int threads = flags.GetInt("threads", 1);
+  const int threads = flags.GetInt("threads", EngineConfig{}.threads);
   const int parallel_threshold = flags.GetInt("parallel-threshold", 64);
   if (parallel_threshold <= 0) {
     return Status::InvalidArgument("--parallel-threshold must be > 0");
@@ -366,10 +367,10 @@ Result<EngineBundle> MakeEngine(Flags& flags) {
   config.ur_cache.enabled = cache == "on";
   config.ur_cache.max_bytes = static_cast<size_t>(cache_mb) << 20;
   config.ur_cache.shards = cache_shards;
-  // Intra-query fan-out (docs/TUNING.md): --threads N (> 1 or <= 0 for
-  // hardware concurrency) spreads per-object work across the shared
-  // executor once a query sees --parallel-threshold candidates. Results
-  // are bit-identical to --threads 1.
+  // Intra-query fan-out (docs/TUNING.md): the engine default (--threads
+  // 0, the shared executor's full width) spreads per-object work across
+  // the pool once a query sees --parallel-threshold candidates; --threads N caps the lanes, and --threads 1 pins serial.
+  // Results are bit-identical to --threads 1.
   config.threads = threads;
   config.parallel_threshold = parallel_threshold;
   bundle.engine = std::make_unique<QueryEngine>(
@@ -902,7 +903,8 @@ int Usage() {
       "  (engine commands also take --cache on|off [--cache-mb N]\n"
       "           [--cache-shards N] — cross-query UR cache —\n"
       "           --threads N [--parallel-threshold N] — intra-query\n"
-      "           fan-out; see docs/TUNING.md — and\n"
+      "           fan-out, default 0 = the executor's full width,\n"
+      "           1 = serial; see docs/TUNING.md — and\n"
       "           --approx exact|sampled|adaptive [--sample-budget N] —\n"
       "           sampling-based approximate iterative top-k with error\n"
       "           bounds; see docs/APPROXIMATION.md)\n"

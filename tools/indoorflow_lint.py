@@ -130,6 +130,10 @@ THREADING_ALLOWLIST = {
 # (tests/metrics_test.cc, tests/flow_matrix_test.cc + concurrency_test.cc).
 ATOMICS_ALLOWLIST = {
     "src/common/deadline.h",
+    # ParallelFor's shared index cursor (increments only; results
+    # publish under the batch Mutex). TSan-stressed by ExecutorTest and
+    # ExecutorConcurrencyTest.
+    "src/common/executor.cc",
     "src/common/log.cc",
     "src/common/metrics.h",
     "src/common/metrics.cc",
