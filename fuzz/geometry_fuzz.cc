@@ -3,7 +3,8 @@
 // primitive, and Region CSG booleans. Inputs are decoded into finite (but
 // adversarial) coordinates; the harness asserts the kernels' contracts —
 // finite outputs, CheckInvariants() on built regions, and agreement
-// between exact Contains() and conservative Classify() — rather than any
+// between exact Contains() and conservative Classify(), and monotonicity
+// of the built-in classifiers under midpoint subdivision — rather than any
 // particular geometric result.
 
 #include <cmath>
@@ -27,6 +28,7 @@ using indoorflow::ClipToConvex;
 using indoorflow::ExtendedEllipse;
 using indoorflow::Point;
 using indoorflow::Polygon;
+using indoorflow::Quadrants;
 using indoorflow::Region;
 using indoorflow::Ring;
 using indoorflow_fuzz::FuzzInput;
@@ -155,11 +157,101 @@ void FuzzRegionBooleans(FuzzInput& input) {
   }
 }
 
+/// A definite class of a built-in (prunable) region on a box must be the
+/// class of each of its midpoint quadrants, `levels` deep: the area
+/// integrator's per-cell pruning rests on it (src/geometry/region.h).
+void CheckMonotone(const Region& region, const Box& box, int levels) {
+  const BoxClass cls = region.Classify(box);
+  for (const Box& q : Quadrants(box)) {
+    Require(cls == BoxClass::kBoundary || region.Classify(q) == cls,
+            "definite class changed on a midpoint quadrant");
+    if (levels > 0) CheckMonotone(region, q, levels - 1);
+  }
+}
+
+Box TakeBox(FuzzInput& input) {
+  const double x0 = input.TakeFiniteDouble();
+  const double y0 = input.TakeFiniteDouble();
+  const double x1 = input.TakeFiniteDouble();
+  const double y1 = input.TakeFiniteDouble();
+  return Box::Of({x0, y0}, {x1, y1});
+}
+
+/// Builds a CSG tree of built-in prunable leaves (circle, ring, Θ, box)
+/// with a small stack machine — each byte pushes a leaf or combines the
+/// top two by union, difference or intersection — then checks invariants,
+/// Classify against Contains, and monotonicity of every leaf and of the
+/// tree on a probe box.
+void FuzzCsgTree(FuzzInput& input) {
+  std::vector<Region> leaves;
+  std::vector<Region> stack;
+  for (int op = 0; op < 12 && input.remaining() > 4 * sizeof(double); ++op) {
+    const uint8_t code = input.TakeByte();
+    if (code % 7 >= 4 && stack.size() >= 2) {
+      Region b = std::move(stack.back());
+      stack.pop_back();
+      Region a = std::move(stack.back());
+      stack.pop_back();
+      switch (code % 7) {
+        case 4:
+          stack.push_back(Region::Union(std::move(a), std::move(b)));
+          break;
+        case 5:
+          stack.push_back(Region::Subtract(std::move(a), std::move(b)));
+          break;
+        default:
+          stack.push_back(Region::Intersect(std::move(a), std::move(b)));
+          break;
+      }
+      continue;
+    }
+    const Point c{input.TakeFiniteDouble(), input.TakeFiniteDouble()};
+    const double r = std::abs(input.TakeFiniteDouble()) + 1e-9;
+    Region leaf;
+    switch (code % 4) {
+      case 0:
+        leaf = Region::Make(Circle{c, r});
+        break;
+      case 1:
+        leaf = Region::Make(Ring{c, r, r + 1.0 + 1e-9 * r});
+        break;
+      case 2:
+        leaf = Region::Make(ExtendedEllipse(
+            Circle{c, r}, Circle{{c.x + r * 3.0, c.y - r}, r * 0.5},
+            std::abs(input.TakeFiniteDouble()), (code & 0x10) != 0));
+        break;
+      default:
+        leaf = Region::Make(Box{c.x, c.y, c.x + r, c.y + r});
+        break;
+    }
+    leaves.push_back(leaf);
+    stack.push_back(std::move(leaf));
+  }
+  if (stack.empty()) return;
+  const Region tree = Region::Union(std::move(stack));
+  Require(tree.CheckInvariants().ok(), "csg tree breaks invariants");
+  const Box probe = TakeBox(input);
+  for (const Region& leaf : leaves) CheckMonotone(leaf, probe, 3);
+  CheckMonotone(tree, probe, 3);
+  if (!tree.IsEmpty()) CheckMonotone(tree, tree.Bounds(), 3);
+  CheckClassifyAgreesWithContains(tree, {probe.min_x, probe.min_y});
+  CheckClassifyAgreesWithContains(tree, probe.Center());
+}
+
+// Mode byte 3 picks the CSG tree harness; every other value keeps its
+// `% 3` meaning, so earlier corpus seeds replay unchanged.
+constexpr uint8_t kCsgTreeMode = 3;
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   FuzzInput input(data, size);
-  switch (input.TakeByte() % 3) {
+  const uint8_t mode = input.TakeByte();
+  if (mode == kCsgTreeMode) {
+    FuzzCsgTree(input);
+    return 0;
+  }
+  switch (mode % 3) {
     case 0:
       FuzzClip(input);
       break;

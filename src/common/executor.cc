@@ -50,6 +50,8 @@ struct BatchState {
   std::atomic<size_t> next_index{0};
   size_t next_lane INDOORFLOW_GUARDED_BY(mu) = 0;
   size_t pending INDOORFLOW_GUARDED_BY(mu) = 0;
+  // Lanes that ran at least one index (ParallelFor's return value).
+  size_t worked INDOORFLOW_GUARDED_BY(mu) = 0;
   std::function<void(size_t)> fn;
   // Request span the lanes parent under (null = untraced). Set before
   // the helpers are enqueued and read-only afterwards; the caller's
@@ -57,11 +59,10 @@ struct BatchState {
   const Span* span_parent = nullptr;
 };
 
-// Runs fn on indices drawn from the shared cursor until it runs dry.
-void DrainIndices(BatchState& state) {
-  for (size_t i = state.next_index++; i < state.n; i = state.next_index++) {
-    state.fn(i);
-  }
+// Runs fn on `first` and then on indices drawn from the shared cursor
+// until it runs dry.
+void DrainIndices(BatchState& state, size_t first) {
+  for (size_t i = first; i < state.n; i = state.next_index++) state.fn(i);
 }
 
 // Claims lanes off `state` until none remain, each lane draining the
@@ -78,14 +79,19 @@ void RunLanes(BatchState& state) {
       if (state.next_lane >= state.lanes) return;
       lane = state.next_lane++;
     }
-    if (state.span_parent != nullptr) {
+    // The lane's first index is drawn before its span opens, so a lane
+    // that finds the cursor dry leaves no trace.
+    const size_t first = state.next_index++;
+    const bool ran = first < state.n;
+    if (ran && state.span_parent != nullptr) {
       // One child span per lane, recorded outside the batch lock.
       Span lane_span(state.span_parent, "lane " + std::to_string(lane));
-      DrainIndices(state);
-    } else {
-      DrainIndices(state);
+      DrainIndices(state, first);
+    } else if (ran) {
+      DrainIndices(state, first);
     }
     MutexLock lock(state.mu);
+    if (ran) ++state.worked;
     if (--state.pending == 0) state.done_cv.NotifyAll();
   }
 }
@@ -216,7 +222,7 @@ int Executor::ParallelFor(size_t n, int parallelism,
   RunLanes(*state);
   MutexLock lock(state->mu);
   while (state->pending > 0) state->done_cv.Wait(state->mu);
-  return static_cast<int>(lanes);
+  return static_cast<int>(state->worked);
 }
 
 }  // namespace indoorflow

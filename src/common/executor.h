@@ -93,14 +93,17 @@ class Executor {
   /// above). `fn` must be safe to invoke concurrently from multiple
   /// threads for distinct indices; each index runs exactly once.
   ///
-  /// Returns the number of lanes the section was split into,
-  /// min(parallelism, n) and at least 1; 1 means the loop ran serially.
-  /// Fewer threads may take part when the pool is busy.
+  /// Returns the number of lanes that ran at least one index: at least 1
+  /// and at most min(parallelism, n); 1 means the loop ran serially or,
+  /// on a busy pool, its caller drained the whole section alone. A thread
+  /// runs at most one such lane (a lane ends only when the cursor is
+  /// dry), so this is the number of threads that took part.
   ///
   /// When `span_parent` is an active request span (src/common/trace.h),
-  /// every lane — including the serial fallback — records one child span
-  /// ("lane <w>") covering the indices it drew from the shared cursor; a
-  /// lane claimed after the cursor ran dry records an empty span. Null
+  /// every lane that runs work — including the serial fallback — records
+  /// one child span ("lane <w>") covering the indices it drew from the
+  /// shared cursor; a lane claimed after the cursor ran dry records none,
+  /// so the trace holds as many lane spans as the return value. Null
   /// (the default, and every unsampled request) costs one pointer
   /// compare per lane.
   int ParallelFor(size_t n, int parallelism,

@@ -3,13 +3,14 @@
 namespace indoorflow {
 
 double Presence(const Region& ur, double poi_area, const Region& poi_region,
-                const FlowConfig& config) {
+                const FlowConfig& config, AreaWork* work) {
   if (poi_area <= 0.0) return 0.0;
   AreaOptions options;
   options.abs_tolerance = config.presence_tolerance * poi_area;
   options.max_depth = config.max_depth;
   options.max_cells = config.max_cells;
   const AreaEstimate estimate = AreaOfIntersection(ur, poi_region, options);
+  if (work != nullptr) *work += estimate.work;
   return std::clamp(estimate.area / poi_area, 0.0, 1.0);
 }
 

@@ -44,9 +44,10 @@ inline double EffectivePoiArea(double area, const FlowConfig& config) {
 
 /// φ: the fraction of the POI covered by `ur`, clamped to [0, 1].
 /// `poi_area` and `poi_region` are the POI polygon's precomputed area and
-/// Region wrapper (callers cache both per POI).
+/// Region wrapper (callers cache both per POI). With `work` set, the
+/// integration's work counters are added to it.
 double Presence(const Region& ur, double poi_area, const Region& poi_region,
-                const FlowConfig& config);
+                const FlowConfig& config, AreaWork* work = nullptr);
 
 /// One POI's flow in a query result.
 struct PoiFlow {

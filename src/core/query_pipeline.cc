@@ -188,6 +188,7 @@ struct ObjectTally {
   std::vector<double> presences;  // aligned with pois
   int64_t presence_evals = 0;
   int64_t presence_ns = 0;
+  AreaWork work;
 
   // Readies the tally for the next object, keeping the vectors' capacity
   // so a serial loop allocates nothing per object.
@@ -195,6 +196,7 @@ struct ObjectTally {
     resolved = ObjectUr();
     cache_hit = derived = false;
     derive_ns = presence_evals = presence_ns = 0;
+    work = AreaWork();
     pois.clear();
     presences.clear();
   }
@@ -243,7 +245,7 @@ void EvaluateObject(const QueryContext& ctx, const Candidates& candidates,
     if (memo == nullptr || !memo->TryGet(id, &presence)) {
       presence = Presence(known->ur, (*ctx.poi_areas)[static_cast<size_t>(id)],
                           (*ctx.poi_regions)[static_cast<size_t>(id)],
-                          *ctx.flow);
+                          *ctx.flow, &tally->work);
       ++tally->presence_evals;
       if (memo != nullptr) memo->Put(id, presence);
     }
@@ -273,6 +275,9 @@ void BookTally(const QueryContext& ctx, const ObjectTally& tally,
   }
   if (stats != nullptr) {
     stats->presence_evaluations += tally.presence_evals;
+    stats->cells_classified += tally.work.cells_classified;
+    stats->leaf_tests += tally.work.leaf_tests;
+    stats->presence_cell_cap += tally.work.cell_caps;
     stats->presence_ns += tally.presence_ns;
   }
   if (flows == nullptr) return;

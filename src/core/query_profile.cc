@@ -260,12 +260,15 @@ std::string QueryProfile::ToText() const {
   std::snprintf(
       line, sizeof(line),
       "work: objects=%lld regions=%lld presences=%lld pois=%lld "
-      "cache_hits=%lld\n",
+      "cache_hits=%lld cells=%lld leaf_tests=%lld cell_caps=%lld\n",
       static_cast<long long>(stats.objects_retrieved),
       static_cast<long long>(stats.regions_derived),
       static_cast<long long>(stats.presence_evaluations),
       static_cast<long long>(stats.pois_evaluated),
-      static_cast<long long>(stats.ur_cache_hits));
+      static_cast<long long>(stats.ur_cache_hits),
+      static_cast<long long>(stats.cells_classified),
+      static_cast<long long>(stats.leaf_tests),
+      static_cast<long long>(stats.presence_cell_cap));
   out.append(line);
 
   // Sampling decision, on estimate queries only. `evaluated < population`

@@ -26,6 +26,14 @@ struct QueryStats {
   /// Derivations satisfied by the cross-query UR cache (src/core/ur_cache.h)
   /// instead of being derived; 0 when the engine runs without a cache.
   int64_t ur_cache_hits = 0;
+  /// Integrator work behind presence_evaluations (AreaWork in
+  /// src/geometry/area_integrator.h): quadtree cells classified, leaf
+  /// primitive classifications, and (object, POI) pairs stopped by the
+  /// FlowConfig::max_cells cap. Machine-independent; memoized presences
+  /// add nothing.
+  int64_t cells_classified = 0;
+  int64_t leaf_tests = 0;
+  int64_t presence_cell_cap = 0;
 
   /// Per-phase wall time (nanoseconds, MonotonicNowNs deltas), filled in by
   /// the query algorithms. The phases mirror the paper's cost decomposition:
@@ -36,11 +44,11 @@ struct QueryStats {
   int64_t presence_ns = 0;
   int64_t topk_ns = 0;
 
-  /// Executor lanes fanned out by parallel sections of this query (0 when
-  /// the query ran fully serially). When a query runs several parallel
-  /// sections (e.g. multiple join batch rounds), this sums their lanes.
-  /// Lanes are the sections' width: on a busy pool fewer threads run
-  /// them (src/common/executor.h).
+  /// Executor lanes that ran work in the parallel sections of this query
+  /// (0 when the query ran fully serially). When a query runs several
+  /// parallel sections (e.g. multiple join batch rounds), this sums their
+  /// lanes. A section drained by its caller alone on a busy pool counts
+  /// 1 (src/common/executor.h).
   int64_t parallel_tasks = 0;
   /// Wall time spent inside parallel sections (ns). Unlike derive_ns /
   /// presence_ns — which sum *per-worker* time and can exceed wall time
@@ -63,6 +71,9 @@ struct QueryStats {
     presence_evaluations += o.presence_evaluations;
     pois_evaluated += o.pois_evaluated;
     ur_cache_hits += o.ur_cache_hits;
+    cells_classified += o.cells_classified;
+    leaf_tests += o.leaf_tests;
+    presence_cell_cap += o.presence_cell_cap;
     retrieve_ns += o.retrieve_ns;
     derive_ns += o.derive_ns;
     presence_ns += o.presence_ns;
@@ -80,6 +91,9 @@ struct QueryStats {
     presence_evaluations -= o.presence_evaluations;
     pois_evaluated -= o.pois_evaluated;
     ur_cache_hits -= o.ur_cache_hits;
+    cells_classified -= o.cells_classified;
+    leaf_tests -= o.leaf_tests;
+    presence_cell_cap -= o.presence_cell_cap;
     retrieve_ns -= o.retrieve_ns;
     derive_ns -= o.derive_ns;
     presence_ns -= o.presence_ns;
@@ -115,6 +129,10 @@ inline constexpr QueryStatsField kQueryStatsFields[] = {
      &QueryStats::presence_evaluations},
     {"pois_evaluated", "PoisEvaluated", &QueryStats::pois_evaluated},
     {"ur_cache_hits", "UrCacheHits", &QueryStats::ur_cache_hits},
+    // bench_name null keeps bench/baseline.json's counter set stable.
+    {"cells_classified", nullptr, &QueryStats::cells_classified},
+    {"leaf_tests", nullptr, &QueryStats::leaf_tests},
+    {"presence_cell_cap", nullptr, &QueryStats::presence_cell_cap},
     {"retrieve_ns", nullptr, &QueryStats::retrieve_ns},
     {"derive_ns", nullptr, &QueryStats::derive_ns},
     {"presence_ns", nullptr, &QueryStats::presence_ns},

@@ -6,8 +6,8 @@
 // inside QueryEngine::SnapshotTopKBatch, or a StreamingMonitor answering
 // CurrentTopK between ingests. UrCache memoizes those derivations
 // process-wide: a sharded map from (object, kind, ts, te) to the derived
-// Region. Regions are cheap to copy (shared immutable CSG nodes), so a hit
-// hands back the exact same node tree the miss path would have built —
+// Region. Regions are cheap to copy (one shared immutable CSG program), so
+// a hit hands back the exact same program the miss path would have built —
 // cached and uncached query results are bit-identical
 // (tests/differential_test.cc proves this across the full query matrix).
 //
@@ -16,7 +16,7 @@
 // construction is cheap next to the adaptive area integration behind
 // Presence(), so the memo is where repeated-timestamp workloads actually
 // win. The integrator is deterministic, so a memoized value is exactly the
-// double a re-integration over the identical immutable region tree would
+// double a re-integration over the identical immutable region would
 // produce — bit-identity of cached results extends to the memo. Memos only
 // make sense while the POI set and FlowConfig are fixed, which holds
 // because every cache is owned by one engine / monitor.

@@ -1,27 +1,11 @@
 #include "src/geometry/area_integrator.h"
 
+#include <cstdint>
 #include <vector>
 
 #include "src/geometry/circle_area.h"
 
 namespace indoorflow {
-
-namespace {
-
-// Classifies `box` against the (implicit) intersection of a and b.
-BoxClass ClassifyIntersection(const Region& a, const Region& b,
-                              const Box& box) {
-  const BoxClass ca = a.Classify(box);
-  if (ca == BoxClass::kOutside) return BoxClass::kOutside;
-  const BoxClass cb = b.Classify(box);
-  if (cb == BoxClass::kOutside) return BoxClass::kOutside;
-  if (ca == BoxClass::kInside && cb == BoxClass::kInside) {
-    return BoxClass::kInside;
-  }
-  return BoxClass::kBoundary;
-}
-
-}  // namespace
 
 namespace {
 
@@ -55,6 +39,92 @@ bool TryExactArea(const Region& a, const Region& b, AreaEstimate* out) {
   return pair_area(a, b, out) || pair_area(b, a, out);
 }
 
+using region_internal::Program;
+using region_internal::Step;
+
+// A listing of one operand's program: the whole program, or what a
+// quadtree cell kept of it. Empty means the operand covers the cell.
+struct Listing {
+  const Step* steps;
+  uint32_t size;
+};
+
+// A boundary cell awaiting subdivision, with its two operand listings at
+// [a, a + a_size) and [b, b + b_size) of its level's arena.
+struct Cell {
+  Box box;
+  uint32_t a = 0;
+  uint32_t a_size = 0;
+  uint32_t b = 0;
+  uint32_t b_size = 0;
+};
+
+// Per-thread scratch: this level's boundary cells and the arena their
+// listings live in, the next level's, and one classification record per
+// operand.
+struct Scratch {
+  std::vector<Cell> cells;
+  std::vector<Cell> next_cells;
+  std::vector<Step> arena;
+  std::vector<Step> next_arena;
+  std::vector<BoxClass> record_a;
+  std::vector<BoxClass> record_b;
+};
+
+struct PairClassifier {
+  const Program& pa;
+  const Program& pb;
+  Scratch* s;
+  AreaWork* work;
+
+  // Classifies `box` against the (implicit) intersection of the two
+  // listings, recording each operand's per-step classes.
+  BoxClass Classify(const Listing& la, const Listing& lb,
+                    const Box& box) const {
+    const BoxClass ca = Side(pa, la, box, s->record_a.data());
+    if (ca == BoxClass::kOutside) return BoxClass::kOutside;
+    const BoxClass cb = Side(pb, lb, box, s->record_b.data());
+    if (cb == BoxClass::kOutside) return BoxClass::kOutside;
+    if (ca == BoxClass::kInside && cb == BoxClass::kInside) {
+      return BoxClass::kInside;
+    }
+    return BoxClass::kBoundary;
+  }
+
+  // The boundary cell `box` just classified, with the listings its
+  // quadrants will classify against, appended to `arena`.
+  Cell Keep(const Listing& la, const Listing& lb, const Box& box,
+            std::vector<Step>* arena) const {
+    Cell cell;
+    cell.box = box;
+    Narrow(pa, la, box, s->record_a.data(), arena, &cell.a, &cell.a_size);
+    Narrow(pb, lb, box, s->record_b.data(), arena, &cell.b, &cell.b_size);
+    return cell;
+  }
+
+ private:
+  BoxClass Side(const Program& p, const Listing& l, const Box& box,
+                BoxClass* record) const {
+    if (l.size == 0) return BoxClass::kInside;
+    return region_internal::ClassifyListing(p, l.steps, box, record,
+                                            &work->leaf_tests);
+  }
+
+  // Appends what `l` keeps on the boundary cell `box` (classified last)
+  // to `arena`. Every boundary cell prunes: copying 8-byte steps costs
+  // less than the leaf tests it saves, even on a snapshot's few-step
+  // programs.
+  static void Narrow(const Program& p, const Listing& l, const Box& box,
+                     const BoxClass* record, std::vector<Step>* arena,
+                     uint32_t* at, uint32_t* size) {
+    *at = static_cast<uint32_t>(arena->size());
+    if (l.size != 0) {
+      region_internal::PruneListing(p, l.steps, record, box, arena);
+    }
+    *size = static_cast<uint32_t>(arena->size()) - *at;
+  }
+};
+
 }  // namespace
 
 AreaEstimate AreaOfIntersection(const Region& a, const Region& b,
@@ -64,55 +134,66 @@ AreaEstimate AreaOfIntersection(const Region& a, const Region& b,
   if (root.Empty() || root.Area() <= 0.0) return result;
   if (TryExactArea(a, b, &result)) return result;
 
-  // Two scratch buffers per call, swapped level by level: the boundary
-  // cells being split and the next level's. Per call, not shared, since
-  // several executor lanes integrate at once.
-  std::vector<Box> boundary;
-  std::vector<Box> next;
-  switch (ClassifyIntersection(a, b, root)) {
+  // Per-thread scratch, reused across calls: executor lanes integrate at
+  // once, so nothing here may be shared.
+  thread_local Scratch s;
+  const Program& pa = a.program();
+  const Program& pb = b.program();
+  s.record_a.resize(pa.steps.size());
+  s.record_b.resize(pb.steps.size());
+  s.cells.clear();
+  s.arena.clear();
+
+  const PairClassifier pair{pa, pb, &s, &result.work};
+  result.work.cells_classified = 1;
+  const Listing whole_a{pa.steps.data(),
+                        static_cast<uint32_t>(pa.steps.size())};
+  const Listing whole_b{pb.steps.data(),
+                        static_cast<uint32_t>(pb.steps.size())};
+  switch (pair.Classify(whole_a, whole_b, root)) {
     case BoxClass::kInside:
       result.area = root.Area();
       return result;
     case BoxClass::kOutside:
       return result;
     case BoxClass::kBoundary:
-      boundary.push_back(root);
+      s.cells.push_back(pair.Keep(whole_a, whole_b, root, &s.arena));
       break;
   }
 
-  int cells = 1;
+  int64_t& cells = result.work.cells_classified;
   double boundary_area = root.Area();
-  for (int depth = 0; depth < options.max_depth && !boundary.empty();
+  for (int depth = 0; depth < options.max_depth && !s.cells.empty();
        ++depth) {
     if (boundary_area * 0.5 <= options.abs_tolerance) break;
-    if (cells >= options.max_cells) break;
-    next.clear();
-    next.reserve(boundary.size() * 2);
+    if (cells >= options.max_cells) {
+      result.work.cell_caps = 1;
+      break;
+    }
+    s.next_cells.clear();
+    s.next_cells.reserve(s.cells.size() * 2);
+    s.next_arena.clear();
     boundary_area = 0.0;
-    for (const Box& cell : boundary) {
-      const Point c = cell.Center();
-      const Box quads[4] = {
-          Box{cell.min_x, cell.min_y, c.x, c.y},
-          Box{c.x, cell.min_y, cell.max_x, c.y},
-          Box{cell.min_x, c.y, c.x, cell.max_y},
-          Box{c.x, c.y, cell.max_x, cell.max_y},
-      };
-      for (const Box& q : quads) {
+    for (const Cell& cell : s.cells) {
+      const Listing la{s.arena.data() + cell.a, cell.a_size};
+      const Listing lb{s.arena.data() + cell.b, cell.b_size};
+      for (const Box& q : Quadrants(cell.box)) {
         ++cells;
-        switch (ClassifyIntersection(a, b, q)) {
+        switch (pair.Classify(la, lb, q)) {
           case BoxClass::kInside:
             result.area += q.Area();
             break;
           case BoxClass::kOutside:
             break;
           case BoxClass::kBoundary:
-            next.push_back(q);
+            s.next_cells.push_back(pair.Keep(la, lb, q, &s.next_arena));
             boundary_area += q.Area();
             break;
         }
       }
     }
-    boundary.swap(next);
+    s.cells.swap(s.next_cells);
+    s.arena.swap(s.next_arena);
   }
 
   // Remaining boundary cells: midpoint-free half-area rule, which makes the

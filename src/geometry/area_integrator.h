@@ -11,6 +11,8 @@
 #ifndef INDOORFLOW_GEOMETRY_AREA_INTEGRATOR_H_
 #define INDOORFLOW_GEOMETRY_AREA_INTEGRATOR_H_
 
+#include <cstdint>
+
 #include "src/geometry/region.h"
 
 namespace indoorflow {
@@ -24,10 +26,31 @@ struct AreaOptions {
   int max_cells = 200000;
 };
 
+/// Machine-independent integrator work, summed over integrations.
+struct AreaWork {
+  /// Quadtree cells classified, the root box included; 0 when an exact
+  /// fast path or an empty bounds intersection settles the pair.
+  int64_t cells_classified = 0;
+  /// Leaf-primitive classifications (circle, ring, Θ, box, polygon,
+  /// custom node) those cells took.
+  int64_t leaf_tests = 0;
+  /// Integrations stopped by AreaOptions::max_cells before reaching the
+  /// tolerance.
+  int64_t cell_caps = 0;
+
+  AreaWork& operator+=(const AreaWork& o) {
+    cells_classified += o.cells_classified;
+    leaf_tests += o.leaf_tests;
+    cell_caps += o.cell_caps;
+    return *this;
+  }
+};
+
 struct AreaEstimate {
   double area = 0.0;
   /// |area - true area| <= error_bound.
   double error_bound = 0.0;
+  AreaWork work;
 
   double LowerBound() const { return area - error_bound; }
   double UpperBound() const { return area + error_bound; }

@@ -4,6 +4,7 @@
 #define INDOORFLOW_GEOMETRY_BOX_H_
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "src/geometry/point.h"
@@ -88,6 +89,16 @@ inline Box Intersection(const Box& a, const Box& b) {
   if (!a.Intersects(b)) return Box{};
   return Box{std::max(a.min_x, b.min_x), std::max(a.min_y, b.min_y),
              std::min(a.max_x, b.max_x), std::min(a.max_y, b.max_y)};
+}
+
+/// The four midpoint quadrants of `cell`, in the area integrator's order.
+/// Each lies inside `cell`: the rounded midpoint stays between the ends.
+inline std::array<Box, 4> Quadrants(const Box& cell) {
+  const Point c = cell.Center();
+  return {Box{cell.min_x, cell.min_y, c.x, c.y},
+          Box{c.x, cell.min_y, cell.max_x, c.y},
+          Box{cell.min_x, c.y, c.x, cell.max_y},
+          Box{c.x, c.y, cell.max_x, cell.max_y}};
 }
 
 /// Minimum distance from `p` to any point of `b` (0 if inside).

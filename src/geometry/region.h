@@ -10,6 +10,26 @@
 //   * conservative box classification (inside / outside / boundary),
 // which is exactly what the adaptive area integrator (area_integrator.h)
 // needs to compute area(UR ∩ p) to a configurable error bound.
+//
+// Representation: one immutable, shared, flat program (region_node.h). The
+// ops sit in a contiguous array in preorder: leaves (empty, circle, ring,
+// Θ, box, polygon, custom node) and the composites Any (union), All
+// (intersection) and Not; Subtract(a, b) is All(a, Not b). Make,
+// Intersect, Union and Subtract build it bottom-up, merging nested Alls
+// and nested Anys; every query walks the array without virtual calls,
+// except for custom nodes.
+//
+// Pruning: the integrator classifies a quadtree cell and, when the cell is
+// a boundary cell, keeps for its four quadrants only the part of the
+// program still undecided on it (Any drops children outside, All drops
+// children inside). That is exact because the built-in leaf classifiers
+// (everything but polygons) are monotone under midpoint subdivision: they
+// compare min/max distances built from the box coordinates with monotone
+// floating-point operations, and a quadrant's coordinates lie inside its
+// parent's, so a definite class on a cell is the class of each quadrant.
+// Polygons and FromNode nodes carry no such guarantee; they stay in the
+// program on every cell and are classified afresh, so a custom node only
+// has to be conservative, not monotone.
 
 #ifndef INDOORFLOW_GEOMETRY_REGION_H_
 #define INDOORFLOW_GEOMETRY_REGION_H_
@@ -26,15 +46,8 @@
 
 namespace indoorflow {
 
-/// Conservative classification of a box against a region.
-enum class BoxClass {
-  kInside,    // every point of the box is in the region
-  kOutside,   // no point of the box is in the region
-  kBoundary,  // undetermined / mixed
-};
-
 /// An immutable 2-D point set built from geometric primitives and boolean
-/// operations. Cheap to copy (shared immutable nodes).
+/// operations. Cheap to copy (one shared immutable program).
 class Region {
  public:
   /// The empty region.
@@ -63,9 +76,9 @@ class Region {
   Box Bounds() const;
   BoxClass Classify(const Box& box) const;
 
-  /// Approximate heap footprint of the CSG tree in bytes (see
-  /// region_internal::Node::ApproxBytes). Used by the uncertainty-region
-  /// cache for its byte budget; not an exact allocator measurement.
+  /// Approximate heap footprint of the program in bytes. Used by the
+  /// uncertainty-region cache for its byte budget; not an exact allocator
+  /// measurement.
   size_t ApproxBytes() const;
 
   /// Shape introspection (non-null only for exactly-primitive regions);
@@ -74,16 +87,19 @@ class Region {
   const Ring* AsRing() const;
   const Box* AsBox() const;
 
-  /// Recursive structural validation of the CSG tree: finite primitive
-  /// parameters, NaN-free bounds, composite bookkeeping consistent (see
-  /// region_internal::Node::CheckInvariants). Debug tooling for the fuzz
-  /// harnesses and property tests — not meant for hot paths.
+  /// Structural validation of the program: finite primitive parameters,
+  /// NaN-free bounds, consistent listing and composite bookkeeping. Debug
+  /// tooling for the fuzz harnesses and property tests — not meant for hot
+  /// paths.
   Status CheckInvariants() const;
 
- private:
-  explicit Region(std::shared_ptr<const region_internal::Node> node);
+  /// The flat program, for the area integrator's per-cell pruning.
+  const region_internal::Program& program() const { return *program_; }
 
-  std::shared_ptr<const region_internal::Node> node_;
+ private:
+  explicit Region(std::shared_ptr<const region_internal::Program> program);
+
+  std::shared_ptr<const region_internal::Program> program_;
 };
 
 }  // namespace indoorflow

@@ -95,9 +95,27 @@ TEST(ExecutorTest, ParallelForReportsLaneCount) {
   EXPECT_EQ(Executor::Default().ParallelFor(10, 1, noop), 1);
   EXPECT_EQ(Executor::Default().ParallelFor(0, 8, noop), 1);
   EXPECT_EQ(Executor::Default().ParallelFor(1, 8, noop), 1);
-  // Lanes never exceed the item count or the requested parallelism.
-  EXPECT_EQ(Executor::Default().ParallelFor(3, 8, noop), 3);
-  EXPECT_EQ(Executor::Default().ParallelFor(100, 4, noop), 4);
+  // Lanes that ran work never exceed the item count or the requested
+  // parallelism; how many took part depends on scheduling.
+  const int few = Executor::Default().ParallelFor(3, 8, noop);
+  EXPECT_GE(few, 1);
+  EXPECT_LE(few, 3);
+  const int many = Executor::Default().ParallelFor(100, 4, noop);
+  EXPECT_GE(many, 1);
+  EXPECT_LE(many, 4);
+  // Indices that each wait for all the others need one thread apiece, so
+  // every lane of the section runs work.
+  Executor pool(3);
+  std::atomic<int> arrived{0};
+  const int lanes = pool.ParallelFor(3, 8, [&arrived](size_t) {
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  EXPECT_EQ(lanes, 3);
 }
 
 // Nested fan-out must not deadlock even when every pool worker is busy:
@@ -122,7 +140,9 @@ TEST(ExecutorTest, PrivatePoolRunsBatches) {
   const int lanes = pool.ParallelFor(counts.size(), 8, [&counts](size_t i) {
     counts[i].fetch_add(1);
   });
-  EXPECT_EQ(lanes, 8);
+  // The caller and three workers: at most four lanes can run work.
+  EXPECT_GE(lanes, 1);
+  EXPECT_LE(lanes, 4);
   for (auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
@@ -155,7 +175,8 @@ TEST(ExecutorTest, IndexWaitingOnTheRestOfItsSectionCompletes) {
 
 // On a pool whose only worker is busy, the caller drains the whole section
 // itself and returns without waiting for its queued helper to start; the
-// helper later finds every lane closed.
+// helper later finds every lane closed. One lane ran work, and that is
+// what ParallelFor reports.
 TEST(ExecutorTest, BusyPoolSectionCompletesOnCaller) {
   Executor pool(1);
   std::atomic<bool> started{false};
@@ -179,7 +200,7 @@ TEST(ExecutorTest, BusyPoolSectionCompletesOnCaller) {
   });
   EXPECT_EQ(off_caller.load(), 0);
   release.store(true);
-  EXPECT_EQ(lanes, 4);
+  EXPECT_EQ(lanes, 1);
   for (auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 

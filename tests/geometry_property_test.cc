@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -172,6 +173,106 @@ TEST_P(CsgFuzz, IntegratorMatchesMonteCarlo) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsgFuzz,
                          ::testing::Range<uint64_t>(100, 112));
+
+// ---------------------------------------------------------------------------
+// Monotonicity under midpoint subdivision: the property per-cell pruning
+// in the area integrator rests on (region.h). For every leaf kind marked
+// prunable, and every tree built only from them, a definite class on a box
+// is the class of each of its quadrants.
+
+// Every prunable leaf kind: circle, ring (also with a zero inner radius),
+// Θ with and without its disks and with an empty bridge, box, empty.
+Region RandomPrunableLeaf(Rng& rng) {
+  const Point c{rng.Uniform(-10, 10), rng.Uniform(-10, 10)};
+  switch (rng.UniformInt(7ULL)) {
+    case 0:
+      return Region::Make(Circle{c, rng.Uniform(0.1, 5.0)});
+    case 1: {
+      const double inner = rng.UniformInt(2ULL) == 0 ? 0.0
+                                                      : rng.Uniform(0.1, 3.0);
+      return Region::Make(Ring{c, inner, inner + rng.Uniform(0.1, 4.0)});
+    }
+    case 2:
+    case 3: {
+      const Circle a{c, rng.Uniform(0.3, 2.0)};
+      const Circle b{{rng.Uniform(-10, 10), rng.Uniform(-10, 10)},
+                     rng.Uniform(0.3, 2.0)};
+      // Travel budgets from well below the gap (empty bridge) to above.
+      const double travel =
+          rng.Uniform(0.0, 1.5) * Distance(a.center, b.center);
+      return Region::Make(ExtendedEllipse(a, b, travel,
+                                          rng.UniformInt(2ULL) == 0));
+    }
+    case 4:
+      return Region::Make(Box{c.x, c.y, c.x + rng.Uniform(0.1, 8.0),
+                              c.y + rng.Uniform(0.1, 8.0)});
+    case 5:
+      return Region::Make(Polygon::Rectangle(c.x, c.y, c.x + 3.0, c.y + 1.0));
+    default:
+      return Region();
+  }
+}
+
+// Checks the property on `box` and, `levels` deep, on its quadrants.
+void ExpectMonotone(const Region& region, const Box& box, int levels) {
+  const BoxClass cls = region.Classify(box);
+  for (const Box& q : Quadrants(box)) {
+    ASSERT_TRUE(box.Contains(q));
+    if (cls != BoxClass::kBoundary) {
+      ASSERT_EQ(region.Classify(q), cls)
+          << "box [" << box.min_x << "," << box.min_y << "," << box.max_x
+          << "," << box.max_y << "] quadrant [" << q.min_x << ","
+          << q.min_y << "," << q.max_x << "," << q.max_y << "]";
+    }
+    if (levels > 0) ExpectMonotone(region, q, levels - 1);
+  }
+}
+
+// Probe boxes of many sizes around a region, plus its own bounds (whose
+// edges touch the shape exactly).
+std::vector<Box> ProbeBoxes(const Region& region, Rng& rng) {
+  std::vector<Box> boxes;
+  if (!region.IsEmpty()) boxes.push_back(region.Bounds());
+  for (int i = 0; i < 12; ++i) {
+    const double x = rng.Uniform(-14, 14);
+    const double y = rng.Uniform(-14, 14);
+    const double size = std::pow(10.0, rng.Uniform(-3.0, 1.3));
+    boxes.push_back(Box{x, y, x + size, y + size * rng.Uniform(0.2, 3.0)});
+  }
+  return boxes;
+}
+
+class Monotonicity : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(Monotonicity, PrunableLeavesKeepTheirClassOnQuadrants) {
+  Rng rng(GetParam());
+  for (int i = 0; i < 25; ++i) {
+    const Region leaf = RandomPrunableLeaf(rng);
+    for (const Box& box : ProbeBoxes(leaf, rng)) {
+      ExpectMonotone(leaf, box, 4);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST_P(Monotonicity, PrunableTreesKeepTheirClassOnQuadrants) {
+  Rng rng(GetParam() ^ 0x5eedULL);
+  for (int i = 0; i < 6; ++i) {
+    std::vector<Region> parts;
+    for (int j = 0; j < 4; ++j) parts.push_back(RandomCsg(rng, 2));
+    // Nested unions and differences, as uncertainty regions build them.
+    const Region tree = Region::Subtract(
+        Region::Union(std::move(parts)),
+        Region::Union(RandomPrunableLeaf(rng), RandomPrunableLeaf(rng)));
+    for (const Box& box : ProbeBoxes(tree, rng)) {
+      ExpectMonotone(tree, box, 3);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, Monotonicity,
+                         ::testing::Range<uint64_t>(300, 308));
 
 // ---------------------------------------------------------------------------
 // Integrator algebra.
